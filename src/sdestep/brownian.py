@@ -10,6 +10,7 @@ scheduling.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -131,9 +132,13 @@ def load_increments(path) -> IncrementTable:
         n, d, h = _HEADER.unpack(raw)
         if n < 1 or d < 1 or not (h > 0):
             raise ValueError(f"invalid header (N={n}, d={d}, h={h}) in {path}")
-        payload = fh.read(8 * n * d)
-        if len(payload) != 8 * n * d:
-            raise ValueError(f"truncated payload in {path}")
+        size = 8 * n * d
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != left:
+            raise ValueError(
+                f"header (N={n}, d={d}) needs {size} payload bytes, {path} holds {left}"
+            )
+        payload = fh.read(size)
     inc = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n, d)
     grid = TimeGrid(T=h * n, N=n)
     return IncrementTable(grid=grid, noise_dim=d, increments=inc)

@@ -20,8 +20,9 @@ import sys
 import numpy as np
 
 from .brownian import SeedSpec, generate_increments
-from .core import BACKWARD_EULER, BDF2, EXPLICIT_EULER, TimeGrid
+from .core import TimeGrid
 from .harness import (
+    SCHEME_COEFFS,
     ExperimentConfig,
     estimate_residuals,
     run_convergence_study,
@@ -34,8 +35,6 @@ from .schemes import (
     SolverSingularError,
     integrate,
 )
-
-_SCHEME_COEFFS = {"eulm": EXPLICIT_EULER, "bem": BACKWARD_EULER, "bdf2": BDF2}
 
 _LEVELS_PATTERN = re.compile(r"^(\d+)x(\d+)\^(\d+)\.\.(\d+)$")
 
@@ -130,7 +129,7 @@ def _cmd_simulate(args) -> int:
     _params, model, x0 = _resolve_model(args)
     grid = TimeGrid(T=args.horizon, N=args.steps)
     table = generate_increments(grid, model.noise_dim, SeedSpec(args.seed, 0))
-    coeffs = _SCHEME_COEFFS[args.scheme]
+    coeffs = SCHEME_COEFFS[args.scheme]
     init = InitialValuePolicy(second="bem_step" if args.second_init == "bem" else "copy_first")
     traj = integrate(
         model,
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate one path and emit t,state CSV")
     _add_model_arguments(p)
     _add_solver_arguments(p)
-    p.add_argument("--scheme", choices=sorted(_SCHEME_COEFFS), default="bdf2")
+    p.add_argument("--scheme", choices=sorted(SCHEME_COEFFS), default="bdf2")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--force-step", action="store_true",
                    help="run outside the well-posedness step bound (at your own risk)")

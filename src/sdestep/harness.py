@@ -39,10 +39,14 @@ from .core import (
     SdeModel,
     TimeGrid,
 )
-from .schemes import (
+from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
     StepGuard,
     _apply_noise,
+    _bdf2_rhs,
+    _bem_rhs,
+    _solve_core,
+    _solve_rows,
     _stability_warnings,
     step_bdf2,
     step_bem,
@@ -109,8 +113,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"x0 has dimension {len(self.x0)}, model expects {self.model.state_dim}"
             )
-        if not (self.T > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not (self.T > 0.0 and math.isfinite(self.T)):
+            raise ValueError(f"horizon must be a positive finite real, got {self.T}")
         if not self.schemes:
             raise ValueError("need at least one scheme")
         for s in self.schemes:
@@ -172,14 +178,17 @@ def cfl_indicator(lam: float, h: float) -> bool:
     return bool(abs(1.0 - lam * h) < 1.0)
 
 
-class _SchemeStepper:
-    """Advances one named scheme step by step, handling start-up and history.
+class _BatchStepper:
+    """Advances one named scheme step by step over one state or a batch of them.
 
     States may be single ``(m,)`` vectors or batches ``(B, m)``; the
-    stepper keeps whatever shape it was given.  For the two-step scheme the
-    first call applies the starting policy (one drift-implicit Euler step,
-    or a copy of x0) and the recursion proper begins with the second call,
-    reusing the first increment as its oldest noise term.
+    stepper keeps whatever shape it was given.  What does not change from
+    step to step is settled at construction: the step guard, and for each
+    implicit solve that will actually run its mode, ``beta`` and step
+    bound.  The history keeps the noise product g(U^{j-1}) dW^j, so the
+    two-step scheme evaluates the diffusion once per step.  Its first call
+    applies the starting policy (one drift-implicit Euler step, or a copy
+    of x0) and the recursion proper begins with the second call.
     """
 
     def __init__(
@@ -190,44 +199,56 @@ class _SchemeStepper:
         h: float,
         x0: np.ndarray,
         second_init: str = "bem",
-        override_step_guard: bool = False,
     ):
         if scheme not in SCHEME_COEFFS:
             raise ValueError(f"unknown scheme {scheme!r}")
         coeffs = SCHEME_COEFFS[scheme]
-        StepGuard.for_scheme(model, coeffs).check(h, override=override_step_guard)
+        StepGuard.for_scheme(model, coeffs).check(h)
         _stability_warnings(model, coeffs, h)
-        self.model = model
-        self.scheme = scheme
-        self.cfg = solver_cfg
+        self._drift = model.drift
+        self._diffusion = model.diffusion
         self.h = h
-        self.second_init = second_init
         self.x = np.array(x0, dtype=float)
         self.j = 0
-        self._x_old: np.ndarray | None = None
-        self._dW_prev: np.ndarray | None = None
+        self._solve_one = None
+        if scheme == "bem" or (scheme == "bdf2" and second_init == "bem"):
+            self._solve_one = _solve_core(model, 1.0, h, solver_cfg)
+        if scheme == "bdf2":
+            self._solve_two = _solve_core(model, 2.0 / 3.0, h, solver_cfg)
+        self.advance = {"eulm": self._euler, "bem": self._bem, "bdf2": self._bdf2_start}[scheme]
 
-    def advance(self, dW: np.ndarray) -> np.ndarray:
+    def _euler(self, dW: np.ndarray) -> np.ndarray:
+        x = self.x
+        self.x = x + self.h * self._drift(x) + _apply_noise(self._diffusion(x), dW)
+        return self.x
+
+    def _bem(self, dW: np.ndarray) -> np.ndarray:
         self.j += 1
-        j = self.j
-        if self.scheme == "eulm":
-            x_next = step_explicit_euler(self.model, self.x, self.h, dW)
-        elif self.scheme == "bem":
-            x_next = step_bem(self.model, self.cfg, self.x, self.h, dW, step_index=j)
+        x = self.x
+        noise = _apply_noise(self._diffusion(x), dW)
+        self.x = _solve_rows(self._solve_one, _bem_rhs(x, noise), x, self.j)
+        return self.x
+
+    def _bdf2_start(self, dW: np.ndarray) -> np.ndarray:
+        self.j = 1
+        x = self.x
+        noise = _apply_noise(self._diffusion(x), dW)
+        if self._solve_one is None:
+            self.x = x.copy()
         else:
-            if j == 1:
-                if self.second_init == "copy":
-                    x_next = self.x.copy()
-                else:
-                    x_next = step_bem(self.model, self.cfg, self.x, self.h, dW, step_index=1)
-            else:
-                x_next = step_bdf2(
-                    self.model, self.cfg, self.x, self._x_old, self.h, dW, self._dW_prev, step_index=j
-                )
-            self._x_old = self.x
-            self._dW_prev = dW
-        self.x = x_next
-        return x_next
+            self.x = _solve_rows(self._solve_one, _bem_rhs(x, noise), x, 1)
+        self._x_old, self._noise_old = x, noise
+        self.advance = self._bdf2
+        return self.x
+
+    def _bdf2(self, dW: np.ndarray) -> np.ndarray:
+        self.j += 1
+        x = self.x
+        noise = _apply_noise(self._diffusion(x), dW)
+        R = _bdf2_rhs(x, self._x_old, noise, self._noise_old)
+        self._x_old, self._noise_old = x, noise
+        self.x = _solve_rows(self._solve_two, R, x, self.j)
+        return self.x
 
 
 def _run_named_scheme(
@@ -242,7 +263,7 @@ def _run_named_scheme(
     grid = table.grid
     states = np.empty((grid.N + 1,) + x0.shape, dtype=float)
     states[0] = x0
-    stepper = _SchemeStepper(model, scheme, solver_cfg, grid.h, x0, second_init)
+    stepper = _BatchStepper(model, scheme, solver_cfg, grid.h, x0, second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(1, grid.N + 1):
             states[j] = stepper.advance(table.increments[j - 1])
@@ -399,23 +420,15 @@ def _batch_ranges(samples: int, batch_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + batch_size, samples)) for lo in range(0, samples, batch_size)]
 
 
-def _chunk_steps(ref_steps: int, factors: Sequence[int]) -> int:
-    """Time-chunk length: the lcm of all coarsening factors (capped by ref_steps)."""
-    chunk = 1
-    for f in factors:
-        chunk = chunk * f // math.gcd(chunk, f)
-        if chunk >= ref_steps:
-            return ref_steps
-    return chunk
-
-
 def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     """Integrate the fine reference for samples [lo, hi) in time chunks.
 
     Returns ``(snapshots, coarse_incs)``: per level, the reference states
     restricted to the level grid, shape (B, N_l+1, m), and the coarsened
-    increments, shape (B, N_l, d).  Coarse rows are accumulated from fine
-    rows in ascending index order, exactly as :func:`brownian.coarsen`.
+    increments, time-major with shape (N_l, B, d).  A chunk is the lcm of
+    the coarsening factors, which divides ``ref_steps``, so every chunk
+    coarsens whole.  Coarse rows are accumulated from fine rows in
+    ascending index order, exactly as :func:`brownian.coarsen`.
     """
     model = config.model
     B = hi - lo
@@ -425,49 +438,35 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     h_fine = config.fine_grid.h
     sqrt_h = np.sqrt(h_fine)
     factors = {n: ref_steps // n for n in config.levels}
-    gcd_all = 0
-    for f in factors.values():
-        gcd_all = math.gcd(gcd_all, f)
-    chunk = _chunk_steps(ref_steps, list(factors.values()))
+    gcd_all = math.gcd(*factors.values())
+    chunk = math.lcm(*factors.values())
 
     gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(lo, hi)]
     x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
 
     snapshots = {n: np.empty((B, n + 1, m)) for n in config.levels}
-    coarse_incs = {n: np.empty((B, n, d)) for n in config.levels}
+    coarse_incs = {n: np.empty((n, B, d)) for n in config.levels}
     for n in config.levels:
         snapshots[n][:, 0, :] = x0
 
-    stepper = _SchemeStepper(
+    stepper = _BatchStepper(
         model, config.reference_scheme, config.solver, h_fine, x0, config.second_init
     )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        consumed = 0
-        while consumed < ref_steps:
-            c = min(chunk, ref_steps - consumed)
-            fine_chunk = np.stack([g.standard_normal((c, d)) for g in gens]) * sqrt_h
+        for consumed in range(0, ref_steps, chunk):
+            fine_chunk = np.stack([g.standard_normal((chunk, d)) for g in gens], axis=1) * sqrt_h
             for n, f in factors.items():
-                if c % f == 0:
-                    view = fine_chunk.reshape(B, c // f, f, d)
-                    acc = view[:, :, 0, :].copy()
-                    for i in range(1, f):
-                        acc += view[:, :, i, :]
-                    coarse_incs[n][:, consumed // f : (consumed + c) // f, :] = acc
-                else:  # ragged tail chunk: fall back to row-by-row accumulation
-                    for r in range(c):
-                        g_row = consumed + r
-                        if g_row % f == 0:
-                            coarse_incs[n][:, g_row // f, :] = fine_chunk[:, r, :]
-                        else:
-                            coarse_incs[n][:, g_row // f, :] += fine_chunk[:, r, :]
-            for t in range(c):
-                x = stepper.advance(fine_chunk[:, t, :])
+                # cumsum adds in ascending order, the order coarsen() uses
+                view = fine_chunk.reshape(chunk // f, f, B, d)
+                rows = slice(consumed // f, (consumed + chunk) // f)
+                coarse_incs[n][rows] = np.cumsum(view, axis=1)[:, -1]
+            for t in range(chunk):
+                x = stepper.advance(fine_chunk[t])
                 g_step = consumed + t + 1
                 if g_step % gcd_all == 0:
                     for n, f in factors.items():
                         if g_step % f == 0:
                             snapshots[n][:, g_step // f, :] = x
-            consumed += c
     return snapshots, coarse_incs
 
 
@@ -483,14 +482,12 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
         for n in config.levels:
             h = config.level_grid(n).h
             ref_states = snapshots[n]
-            inc = coarse_incs[n]
             for scheme in config.schemes:
-                stepper = _SchemeStepper(model, scheme, config.solver, h, x0, config.second_init)
+                stepper = _BatchStepper(model, scheme, config.solver, h, x0, config.second_init)
                 devsq = np.empty((B, n + 1))
                 devsq[:, 0] = 0.0
-                for j in range(1, n + 1):
-                    x = stepper.advance(inc[:, j - 1, :])
-                    dev = x - ref_states[:, j, :]
+                for j, dW in enumerate(coarse_incs[n], 1):
+                    dev = stepper.advance(dW) - ref_states[:, j, :]
                     devsq[:, j] = np.sum(dev * dev, axis=-1)
                 valid = np.isfinite(devsq).all(axis=1)
                 devsq[~valid] = 0.0
@@ -630,7 +627,8 @@ def _residual_batch(config: ExperimentConfig, lo: int, hi: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in config.levels:
             h = config.level_grid(n).h
-            one, pair = residual_defects(model, snapshots[n], coarse_incs[n], h)
+            increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
+            one, pair = residual_defects(model, snapshots[n], increments, h)
             one_sq = np.sum(one * one, axis=-1)
             pair_sq = np.sum(pair * pair, axis=-1)
             valid = np.isfinite(one_sq).all(axis=1) & np.isfinite(pair_sq).all(axis=1)

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (sigma >= 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be a finite real >= 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class ThreeHalvesVol:
     """Parameters of the scalar 3/2-volatility model.
@@ -56,10 +61,9 @@ class ThreeHalvesVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be a positive finite real, got {self.lam}")
+        _check_sigma(self.sigma)
 
     @property
     def in_theory(self) -> bool:
@@ -113,10 +117,9 @@ class ToyCubic2D:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be a finite real >= 0, got {self.lam}")
+        _check_sigma(self.sigma)
 
     @property
     def in_theory(self) -> bool:

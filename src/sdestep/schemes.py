@@ -295,8 +295,6 @@ def _newton_solve(
     x_start: np.ndarray | None,
     step_index: int | None,
 ) -> np.ndarray:
-    if model.drift_jacobian is None:
-        raise ValueError("Newton solve requires the model to provide drift_jacobian")
     m = R.shape[-1]
     bh = beta * h
     eye = np.eye(m)
@@ -311,6 +309,62 @@ def _newton_solve(
         dphi = eye - bh * model.drift_jacobian(x)
         x = x - _solve_linear(dphi, phi, step_index)
     return x
+
+
+def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfig):
+    """Check the step equation x - h*beta*f(x) = R once and return its solver.
+
+    Raises for ``beta <= 0``, ``h <= 0``, a violated step bound (unless
+    ``cfg.enforce_step_bound`` is off) and a solver mode the model cannot
+    serve.  The returned ``core(R, x_start, step_index)`` solves for finite
+    R and checks nothing further; :func:`_solve_rows` adds the handling of
+    non-finite rows.
+    """
+    if not (beta > 0.0):
+        raise ValueError(f"implicit solve needs beta > 0, got {beta}")
+    if not (h > 0.0):
+        raise StepSizeError(f"step size must be positive, got {h}")
+    if cfg.enforce_step_bound and not (h * beta * model.L < 1.0):
+        raise StepSizeError(
+            f"h*beta*L = {h * beta * model.L} outside (0, 1); the implicit step is not guaranteed well-posed"
+        )
+    mode = cfg.mode
+    if mode == "auto":
+        mode = "closed_form" if model.closed_form_implicit is not None else "newton"
+    if mode == "closed_form" and model.closed_form_implicit is None:
+        if cfg.fallback_to_newton:
+            mode = "newton"
+        else:
+            raise ValueError("model provides no closed-form implicit solve and fallback is disabled")
+
+    if mode == "closed_form":
+        closed_form = model.closed_form_implicit
+        return lambda R, x_start, step_index: closed_form(beta, h, R)
+    if model.drift_jacobian is None:
+        raise ValueError("Newton solve requires the model to provide drift_jacobian")
+    from_prev = cfg.newton_start == "prev"
+
+    def newton(R, x_start, step_index):
+        start = x_start if from_prev else None
+        return _newton_solve(model, beta, h, R, cfg, start, step_index)
+
+    return newton
+
+
+def _solve_rows(core, R: np.ndarray, x_start: np.ndarray | None, step_index: int | None):
+    """``core`` applied to the rows of R that are finite; the others come back NaN.
+
+    One whole-array test settles the common case.  Only when it fails are
+    rows sorted out; non-finite rows never reach the solver, and a single
+    non-finite state comes back as NaN.
+    """
+    if np.isfinite(R).all():
+        return core(R, x_start, step_index)
+    finite = np.isfinite(R).all(axis=-1)
+    out = np.full_like(R, np.nan)
+    if R.ndim > 1 and finite.any():
+        out[finite] = core(R[finite], None if x_start is None else x_start[finite], step_index)
+    return out
 
 
 def solve_implicit(
@@ -330,42 +384,10 @@ def solve_implicit(
     iteration (used by the steppers when cfg.newton_start == "prev");
     without it the iteration starts from R.
     """
-    if not (beta > 0.0):
-        raise ValueError(f"implicit solve needs beta > 0, got {beta}")
-    if not (h > 0.0):
-        raise StepSizeError(f"step size must be positive, got {h}")
-    if cfg.enforce_step_bound and not (h * beta * model.L < 1.0):
-        raise StepSizeError(
-            f"h*beta*L = {h * beta * model.L} outside (0, 1); the implicit step is not guaranteed well-posed"
-        )
-    R = np.asarray(R, dtype=float)
-    finite = np.isfinite(R).all(axis=-1)
-    if not np.all(finite):
-        if R.ndim == 1:
-            return np.full_like(R, np.nan)
-        out = np.full_like(R, np.nan)
-        if np.any(finite):
-            good = solve_implicit(
-                model, beta, h, R[finite], cfg, None if x_start is None else np.asarray(x_start, float)[finite], step_index
-            )
-            out[finite] = good
-        return out
-
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "closed_form" if model.closed_form_implicit is not None else "newton"
-    if mode == "closed_form" and model.closed_form_implicit is None:
-        if cfg.fallback_to_newton:
-            mode = "newton"
-        else:
-            raise ValueError("model provides no closed-form implicit solve and fallback is disabled")
-
-    if mode == "closed_form":
-        return model.closed_form_implicit(beta, h, R)
-    start = None
-    if cfg.newton_start == "prev" and x_start is not None:
-        start = np.asarray(x_start, dtype=float)
-    return _newton_solve(model, beta, h, R, cfg, start, step_index)
+    core = _solve_core(model, beta, h, cfg)
+    if x_start is not None:
+        x_start = np.asarray(x_start, dtype=float)
+    return _solve_rows(core, np.asarray(R, dtype=float), x_start, step_index)
 
 
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
@@ -380,24 +402,21 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     return x_prev + h * model.drift(x_prev) + _apply_noise(model.diffusion(x_prev), dW)
 
 
-def _bem_rhs(x_prev: np.ndarray, g_prev: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    return x_prev + _apply_noise(g_prev, dW)
+def _bem_rhs(x_prev: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """R of the one-step scheme from the noise product g(x_prev) dW."""
+    return x_prev + noise
 
 
 def _bdf2_rhs(
-    x_prev: np.ndarray,
-    x_prev2: np.ndarray,
-    g_prev: np.ndarray,
-    g_prev2: np.ndarray,
-    dW_cur: np.ndarray,
-    dW_prev: np.ndarray,
+    x_prev: np.ndarray, x_prev2: np.ndarray, noise: np.ndarray, noise_prev: np.ndarray
 ) -> np.ndarray:
-    return (
-        (4.0 / 3.0) * x_prev
-        - (1.0 / 3.0) * x_prev2
-        + _apply_noise(g_prev, dW_cur)
-        - (1.0 / 3.0) * _apply_noise(g_prev2, dW_prev)
-    )
+    """R of the two-step scheme from the noise products of its two old states.
+
+    ``noise = g(x_prev) dW_cur`` and ``noise_prev = g(x_prev2) dW_prev``;
+    the latter is the former of the step before, so a stepper that keeps
+    it evaluates the diffusion once per step.
+    """
+    return (4.0 / 3.0) * x_prev - (1.0 / 3.0) * x_prev2 + noise - (1.0 / 3.0) * noise_prev
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW, step_index=None):
@@ -407,7 +426,7 @@ def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW, s
     """
     x_prev = np.asarray(x_prev, dtype=float)
     dW = np.asarray(dW, dtype=float)
-    R = _bem_rhs(x_prev, model.diffusion(x_prev), dW)
+    R = _bem_rhs(x_prev, _apply_noise(model.diffusion(x_prev), dW))
     return solve_implicit(model, 1.0, h, R, cfg, x_start=x_prev, step_index=step_index)
 
 
@@ -432,10 +451,8 @@ def step_bdf2(
     R = _bdf2_rhs(
         x_prev,
         x_prev2,
-        model.diffusion(x_prev),
-        model.diffusion(x_prev2),
-        np.asarray(dW_cur, dtype=float),
-        np.asarray(dW_prev, dtype=float),
+        _apply_noise(model.diffusion(x_prev), np.asarray(dW_cur, dtype=float)),
+        _apply_noise(model.diffusion(x_prev2), np.asarray(dW_prev, dtype=float)),
     )
     return solve_implicit(model, 2.0 / 3.0, h, R, cfg, x_start=x_prev, step_index=step_index)
 
@@ -520,6 +537,8 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     guard = StepGuard.for_scheme(model, coeffs)
     guard.check(grid.h, override=override_step_guard)
     _stability_warnings(model, coeffs, grid.h)

@@ -183,3 +183,20 @@ def test_load_rejects_truncated_files(tmp_path):
     short_payload.write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         load_increments(short_payload)
+
+
+@pytest.mark.parametrize("n", [2**40, 2**62])
+def test_load_rejects_headers_larger_than_the_file(tmp_path, n):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<qqd", n, 1, 1.0 / n) + bytes(64))
+    with pytest.raises(ValueError, match="payload bytes"):
+        load_increments(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    table = generate_increments(TimeGrid(T=1.0, N=4), 1, SeedSpec(0, 0))
+    path = tmp_path / "table.bin"
+    dump_increments(table, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload bytes"):
+        load_increments(path)

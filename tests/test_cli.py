@@ -145,6 +145,25 @@ def test_bad_configuration_exits_two(capsys):
     assert rc == 2  # too few samples for a defect estimate
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["converge", "--model", "vol32", "--lambda", "inf"], "lam"),
+        (["converge", "--model", "vol32", "--x0", "nan"], "x0"),
+        (["converge", "--model", "vol32", "--sigma", "nan"], "sigma"),
+        (["simulate", "--model", "toy2d", "--lambda", "nan", "--steps", "10"], "lam"),
+    ],
+    ids=["converge-lambda-inf", "converge-x0-nan", "converge-sigma-nan", "simulate-lambda-nan"],
+)
+def test_non_finite_model_input_exits_two(argv, name, capsys):
+    study = ["--levels", "25", "--samples", "2", "--ref-steps", "100"] if argv[0] == "converge" else []
+    rc = main(argv + study)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_singular_solve_exits_three(capsys):
     rc = main([

@@ -1,5 +1,7 @@
 """Tests for the convergence-study harness, error tables, and defect estimates."""
 
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -9,15 +11,25 @@ from sdestep import (
     ErrorTable,
     ExperimentConfig,
     SdeModel,
+    SeedSpec,
+    StepSizeError,
+    coarsen,
     eoc,
     cfl_indicator,
+    generate_increments,
     make_model,
     reference_trajectory,
     run_convergence_study,
     strong_error,
     write_csv,
 )
-from sdestep.harness import LevelRow, SchemeCell, estimate_residuals, residual_defects
+from sdestep.harness import (
+    LevelRow,
+    SchemeCell,
+    _reference_pass,
+    estimate_residuals,
+    residual_defects,
+)
 
 _, VOL32 = make_model("vol32", 4.0, 1.0)
 _, VOL32_SIG0 = make_model("vol32", 4.0, 0.0)
@@ -99,6 +111,15 @@ def test_experiment_config_validation():
             ExperimentConfig(**kwargs)
 
 
+def test_experiment_config_rejects_non_finite_x0_and_horizon():
+    base = dict(model=VOL32, x0=(1.0,), levels=(25,), samples=2, ref_steps=100)
+    for x0 in ((float("nan"),), (float("inf"),)):
+        with pytest.raises(ValueError, match="^x0 must be finite"):
+            ExperimentConfig(**dict(base, x0=x0))
+    with pytest.raises(ValueError, match="^horizon must be"):
+        ExperimentConfig(**dict(base, T=float("inf")))
+
+
 def test_reference_trajectory_is_deterministic_per_sample():
     cfg = ExperimentConfig(
         model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25,),
@@ -111,6 +132,92 @@ def test_reference_trajectory_is_deterministic_per_sample():
     assert not np.array_equal(a.states, c.states)
     assert a.states.shape == (201, 1)
     assert np.array_equal(a.states[0], np.array([1.0]))
+
+
+# ------------------------------------------------------------ study engine
+
+
+def _multi_chunk_config(model, x0, **kw):
+    # factors 16 and 8: 16-step chunks, 25 of them per reference pass
+    return ExperimentConfig(
+        model=model, x0=x0, levels=(25, 50), samples=9, ref_steps=400, base_seed=21, **kw
+    )
+
+
+@pytest.mark.parametrize("model,x0", [(VOL32, (1.0,)), (TOY, (2.0, 3.0))], ids=["vol32", "toy2d"])
+def test_engine_coarse_increments_equal_coarsened_tables_bitwise(model, x0):
+    cfg = _multi_chunk_config(model, x0)
+    lo, hi = 2, 9
+    _snapshots, coarse_incs = _reference_pass(cfg, lo, hi)
+    for n in cfg.levels:
+        assert coarse_incs[n].shape == (n, hi - lo, model.noise_dim)
+        for i in range(hi - lo):
+            fine = generate_increments(cfg.fine_grid, model.noise_dim, SeedSpec(cfg.base_seed, lo + i))
+            want = coarsen(fine, cfg.ref_steps // n).increments
+            assert coarse_incs[n][:, i, :].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("second_init", ["bem", "copy"])
+@pytest.mark.parametrize("model,x0", [(VOL32, (1.0,)), (TOY, (2.0, 3.0))], ids=["vol32", "toy2d"])
+def test_engine_snapshots_equal_per_sample_references_bitwise(model, x0, second_init):
+    cfg = _multi_chunk_config(model, x0, second_init=second_init)
+    lo, hi = 2, 9
+    snapshots, _coarse_incs = _reference_pass(cfg, lo, hi)
+    for i in range(hi - lo):
+        ref = reference_trajectory(cfg, lo + i).states
+        for n in cfg.levels:
+            want = ref[:: cfg.ref_steps // n]
+            assert snapshots[n][i].tobytes() == want.tobytes()
+
+
+def _sha256(table: ErrorTable) -> str:
+    return hashlib.sha256(table.render_csv().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_small_study_tables_are_pinned():
+    """The rendered tables of three small studies, pinned by SHA-256: their digits move only on purpose."""
+    _, toy_sigma1 = make_model("toy2d", 96.0, 1.0)
+    common = dict(levels=(25, 50, 100), ref_steps=400, batch_size=16)
+    vol32_copy = run_convergence_study(ExperimentConfig(
+        model=VOL32, x0=(1.0,), samples=40, base_seed=11, second_init="copy", **common
+    ))
+    toy_newton = run_convergence_study(ExperimentConfig(
+        model=toy_sigma1, x0=(2.0, 3.0), samples=32, base_seed=77, **common
+    ))
+    vol32_bem_ref = run_convergence_study(ExperimentConfig(
+        model=VOL32, x0=(1.0,), samples=40, base_seed=5, reference_scheme="bem", **common
+    ))
+    assert toy_newton.cell(25, "eulm").exploded == 32 and toy_newton.cell(50, "eulm").exploded == 11
+    assert _sha256(vol32_copy) == "31a2c7dd0e4a4b0d0ff9915a5d5eb74ae8c994a9bbbad945217f6dce07869af7"
+    assert _sha256(toy_newton) == "7c72dee43984e5e61c4e4c2dcd6559263f17a8adf0ed840c7763be3fdb1de070"
+    assert _sha256(vol32_bem_ref) == "15b94b81098d2bb91e8ffcfcadc5f4a425676bc3ddad0f552e7951b44fb393d8"
+
+
+def test_engine_evaluates_the_diffusion_once_per_step():
+    calls = []
+
+    def diffusion(x):
+        calls.append(1)
+        return VOL32.diffusion(x)
+
+    cfg = ExperimentConfig(
+        model=dataclasses.replace(VOL32, diffusion=diffusion), x0=(1.0,), levels=(25, 50),
+        samples=10, ref_steps=200, base_seed=4, batch_size=5,
+    )
+    run_convergence_study(cfg)
+    batches = 2
+    assert len(calls) == batches * (cfg.ref_steps + sum(cfg.levels) * len(cfg.schemes))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_copy_start_checks_no_one_step_bound():
+    # h = 1: inside the two-step guard (h < 3/2), on the one-step bound (h*1*L = 1)
+    kw = dict(model=VOL32, x0=(1.0,), schemes=("bdf2",), levels=(1,), samples=4, ref_steps=8)
+    table = run_convergence_study(ExperimentConfig(second_init="copy", **kw))
+    assert np.isfinite(table.cell(1, "bdf2").error)
+    with pytest.raises(StepSizeError):
+        run_convergence_study(ExperimentConfig(second_init="bem", **kw))
 
 
 # ------------------------------------------------------------- strong error

@@ -170,6 +170,18 @@ def test_make_model_defaults_and_errors():
     assert make_model("toy2d", 0.0, 1.0)[0].lam == 0.0
 
 
+@pytest.mark.parametrize("family", ["vol32", "toy2d"])
+def test_non_finite_parameters_are_rejected_by_name(family):
+    for lam, sigma, name in (
+        (float("inf"), 1.0, "lam"),
+        (float("nan"), 1.0, "lam"),
+        (4.0, float("nan"), "sigma"),
+        (4.0, float("inf"), "sigma"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_model(family, lam, sigma)
+
+
 # ------------------------------------------------------------ the checkers
 
 

@@ -430,6 +430,13 @@ def test_integrate_validates_inputs():
         integrate(VOL32, BACKWARD_EULER, cfg, InitialValuePolicy(), grid, inc, [1.0, 2.0])
 
 
+def test_integrate_rejects_a_non_finite_initial_state():
+    grid = TimeGrid(T=1.0, N=10)
+    for x0 in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="^x0 must be finite"):
+            integrate(VOL32, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, zero_table(grid), x0)
+
+
 def test_integrate_guard_rejects_large_steps_unless_overridden():
     grid = TimeGrid(T=2.0, N=1)  # h = 2 >= 1/(beta_k L) = 1
     inc = zero_table(grid)
