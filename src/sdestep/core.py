@@ -85,12 +85,12 @@ class SdeModel:
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ValueError("state_dim and noise_dim must be positive")
-        if not (self.L > 0.0):
-            raise ValueError(f"L must be positive, got {self.L}")
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (self.q >= 1.0):
-            raise ValueError(f"growth exponent q must be >= 1, got {self.q}")
+        if not (self.L > 0.0 and np.isfinite(self.L)):
+            raise ValueError(f"L must be a positive finite real, got {self.L}")
+        if not (self.eta > 0.0 and np.isfinite(self.eta)):
+            raise ValueError(f"eta must be a positive finite real, got {self.eta}")
+        if not (self.q >= 1.0 and np.isfinite(self.q)):
+            raise ValueError(f"q must be a finite growth exponent >= 1, got {self.q}")
 
 
 @dataclass(frozen=True)

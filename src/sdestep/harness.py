@@ -41,13 +41,10 @@ from .core import (
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
-    StepGuard,
+    InitialValuePolicy,
     _apply_noise,
-    _bdf2_rhs,
-    _bem_rhs,
-    _solve_core,
-    _solve_rows,
-    _stability_warnings,
+    _Stepper,
+    integrate,
     step_bdf2,
     step_bem,
     step_explicit_euler,
@@ -178,96 +175,12 @@ def cfl_indicator(lam: float, h: float) -> bool:
     return bool(abs(1.0 - lam * h) < 1.0)
 
 
-class _BatchStepper:
-    """Advances one named scheme step by step over one state or a batch of them.
-
-    States may be single ``(m,)`` vectors or batches ``(B, m)``; the
-    stepper keeps whatever shape it was given.  What does not change from
-    step to step is settled at construction: the step guard, and for each
-    implicit solve that will actually run its mode, ``beta`` and step
-    bound.  The history keeps the noise product g(U^{j-1}) dW^j, so the
-    two-step scheme evaluates the diffusion once per step.  Its first call
-    applies the starting policy (one drift-implicit Euler step, or a copy
-    of x0) and the recursion proper begins with the second call.
-    """
-
-    def __init__(
-        self,
-        model: SdeModel,
-        scheme: str,
-        solver_cfg: ImplicitSolverConfig,
-        h: float,
-        x0: np.ndarray,
-        second_init: str = "bem",
-    ):
-        if scheme not in SCHEME_COEFFS:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        coeffs = SCHEME_COEFFS[scheme]
-        StepGuard.for_scheme(model, coeffs).check(h)
-        _stability_warnings(model, coeffs, h)
-        self._drift = model.drift
-        self._diffusion = model.diffusion
-        self.h = h
-        self.x = np.array(x0, dtype=float)
-        self.j = 0
-        self._solve_one = None
-        if scheme == "bem" or (scheme == "bdf2" and second_init == "bem"):
-            self._solve_one = _solve_core(model, 1.0, h, solver_cfg)
-        if scheme == "bdf2":
-            self._solve_two = _solve_core(model, 2.0 / 3.0, h, solver_cfg)
-        self.advance = {"eulm": self._euler, "bem": self._bem, "bdf2": self._bdf2_start}[scheme]
-
-    def _euler(self, dW: np.ndarray) -> np.ndarray:
-        x = self.x
-        self.x = x + self.h * self._drift(x) + _apply_noise(self._diffusion(x), dW)
-        return self.x
-
-    def _bem(self, dW: np.ndarray) -> np.ndarray:
-        self.j += 1
-        x = self.x
-        noise = _apply_noise(self._diffusion(x), dW)
-        self.x = _solve_rows(self._solve_one, _bem_rhs(x, noise), x, self.j)
-        return self.x
-
-    def _bdf2_start(self, dW: np.ndarray) -> np.ndarray:
-        self.j = 1
-        x = self.x
-        noise = _apply_noise(self._diffusion(x), dW)
-        if self._solve_one is None:
-            self.x = x.copy()
-        else:
-            self.x = _solve_rows(self._solve_one, _bem_rhs(x, noise), x, 1)
-        self._x_old, self._noise_old = x, noise
-        self.advance = self._bdf2
-        return self.x
-
-    def _bdf2(self, dW: np.ndarray) -> np.ndarray:
-        self.j += 1
-        x = self.x
-        noise = _apply_noise(self._diffusion(x), dW)
-        R = _bdf2_rhs(x, self._x_old, noise, self._noise_old)
-        self._x_old, self._noise_old = x, noise
-        self.x = _solve_rows(self._solve_two, R, x, self.j)
-        return self.x
-
-
-def _run_named_scheme(
-    model: SdeModel,
-    scheme: str,
-    solver_cfg: ImplicitSolverConfig,
-    table: IncrementTable,
-    x0: np.ndarray,
-    second_init: str = "bem",
-) -> np.ndarray:
-    """Full trajectory (N+1, m) of one named scheme over one increment table."""
-    grid = table.grid
-    states = np.empty((grid.N + 1,) + x0.shape, dtype=float)
-    states[0] = x0
-    stepper = _BatchStepper(model, scheme, solver_cfg, grid.h, x0, second_init)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(1, grid.N + 1):
-            states[j] = stepper.advance(table.increments[j - 1])
-    return states
+def _integrate_named(config: ExperimentConfig, scheme: str, table: IncrementTable) -> GridFunction:
+    """One path of a named scheme over one increment table, as the study runs it."""
+    init = InitialValuePolicy(second="copy_first" if config.second_init == "copy" else "bem_step")
+    return integrate(
+        config.model, SCHEME_COEFFS[scheme], config.solver, init, table.grid, table, config.x0
+    )
 
 
 def reference_trajectory(config: ExperimentConfig, sample_index: int) -> GridFunction:
@@ -275,15 +188,7 @@ def reference_trajectory(config: ExperimentConfig, sample_index: int) -> GridFun
     table = generate_increments(
         config.fine_grid, config.model.noise_dim, SeedSpec(config.base_seed, sample_index)
     )
-    states = _run_named_scheme(
-        config.model,
-        config.reference_scheme,
-        config.solver,
-        table,
-        np.asarray(config.x0, dtype=float),
-        config.second_init,
-    )
-    return GridFunction(grid=config.fine_grid, states=states)
+    return _integrate_named(config, config.reference_scheme, table)
 
 
 def _kahan_add(total: np.ndarray, comp: np.ndarray, value: np.ndarray) -> None:
@@ -313,7 +218,6 @@ def strong_error(
     if config.ref_steps % n_steps != 0:
         raise ValueError(f"level N={n_steps} does not divide ref_steps={config.ref_steps}")
     factor = config.ref_steps // n_steps
-    x0 = np.asarray(config.x0, dtype=float)
     total = np.zeros(n_steps + 1)
     comp = np.zeros(n_steps + 1)
     valid = 0
@@ -324,10 +228,7 @@ def strong_error(
         fine = generate_increments(
             config.fine_grid, config.model.noise_dim, SeedSpec(config.base_seed, idx)
         )
-        level_table = coarsen(fine, factor)
-        states = _run_named_scheme(
-            config.model, scheme, config.solver, level_table, x0, config.second_init
-        )
+        states = _integrate_named(config, scheme, coarsen(fine, factor)).states
         ref_states = ref.states[::factor]
         with np.errstate(over="ignore", invalid="ignore"):
             dev = states - ref_states
@@ -449,9 +350,9 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     for n in config.levels:
         snapshots[n][:, 0, :] = x0
 
-    stepper = _BatchStepper(
-        model, config.reference_scheme, config.solver, h_fine, x0, config.second_init
-    )
+    coeffs = SCHEME_COEFFS[config.reference_scheme]
+    copy_start = config.second_init == "copy"
+    stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, copy_start=copy_start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for consumed in range(0, ref_steps, chunk):
             fine_chunk = np.stack([g.standard_normal((chunk, d)) for g in gens], axis=1) * sqrt_h
@@ -476,6 +377,7 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
     B = hi - lo
     x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
+    copy_start = config.second_init == "copy"
 
     out = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -483,7 +385,8 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
             h = config.level_grid(n).h
             ref_states = snapshots[n]
             for scheme in config.schemes:
-                stepper = _BatchStepper(model, scheme, config.solver, h, x0, config.second_init)
+                coeffs = SCHEME_COEFFS[scheme]
+                stepper = _Stepper(model, coeffs, config.solver, h, x0, copy_start=copy_start)
                 devsq = np.empty((B, n + 1))
                 devsq[:, 0] = 0.0
                 for j, dW in enumerate(coarse_incs[n], 1):
@@ -557,7 +460,7 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
 class ResidualReport:
     """Per-level maxima of the Monte Carlo L2 norms of local defects.
 
-    For the reference path restricted to each level grid, three defects
+    For the reference path restricted to each level grid, two defects
     are measured per step j: the one-step (drift-implicit Euler) defect
 
         rho^j = h f(V^j) + g(V^{j-1}) dW^j - V^j + V^{j-1},
@@ -573,7 +476,6 @@ class ResidualReport:
     h: tuple[float, ...]
     samples: int
     bem_defect: tuple[float, ...]
-    bdf2_one_defect: tuple[float, ...]
     bdf2_pair_defect: tuple[float, ...]
 
     @staticmethod
@@ -690,6 +592,5 @@ def estimate_residuals(config: ExperimentConfig, samples: int | None = None) -> 
         h=tuple(hs),
         samples=config.samples,
         bem_defect=tuple(bem_max),
-        bdf2_one_defect=tuple(bem_max),
         bdf2_pair_defect=tuple(pair_max),
     )

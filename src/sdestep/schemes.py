@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, SchemeCoefficients, SdeModel, TimeGrid
+from .core import BACKWARD_EULER, BDF2, GridFunction, SchemeCoefficients, SdeModel, TimeGrid
 from .brownian import IncrementTable
 
 __all__ = [
@@ -177,7 +177,7 @@ def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -
             f"{min(candidates):g} / {max(candidates):g} for the {coeffs.k}-step scheme; "
             "error bounds may not apply",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -402,21 +402,59 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     return x_prev + h * model.drift(x_prev) + _apply_noise(model.diffusion(x_prev), dW)
 
 
-def _bem_rhs(x_prev: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """R of the one-step scheme from the noise product g(x_prev) dW."""
-    return x_prev + noise
+def _rhs_terms(coeffs: SchemeCoefficients, h: float) -> tuple:
+    """The right-hand side R of a k-step recursion as per-state operand lists.
 
-
-def _bdf2_rhs(
-    x_prev: np.ndarray, x_prev2: np.ndarray, noise: np.ndarray, noise_prev: np.ndarray
-) -> np.ndarray:
-    """R of the two-step scheme from the noise products of its two old states.
-
-    ``noise = g(x_prev) dW_cur`` and ``noise_prev = g(x_prev2) dW_prev``;
-    the latter is the former of the step before, so a stepper that keeps
-    it evaluates the diffusion once per step.
+    Entry i belongs to the old state U_i (oldest first), whose history
+    entry is ``(U_i, n_i, f_i)`` with the noise product ``n_i = g(U_i) dW``
+    and ``f_i = f(U_i)``.  It is ``(a, rest)``: the factor ``-alpha_i`` on
+    U_i, then ``(slot, factor)`` pairs for ``h beta_i`` on f_i and
+    ``gamma_i`` on n_i where those are non-zero.  A factor of exactly 1 is
+    stored as None and not multiplied, since ``x * 1.0 == x`` bit for bit.
     """
-    return (4.0 / 3.0) * x_prev - (1.0 / 3.0) * x_prev2 + noise - (1.0 / 3.0) * noise_prev
+
+    def factor(value: float):
+        return None if value == 1.0 else value
+
+    terms = []
+    for i in range(coeffs.k):
+        rest = []
+        if coeffs.beta[i] != 0.0:
+            rest.append((2, factor(h * coeffs.beta[i])))
+        if coeffs.gamma[i] != 0.0:
+            rest.append((1, factor(coeffs.gamma[i])))
+        terms.append((factor(-coeffs.alpha[i]), tuple(rest)))
+    return tuple(terms)
+
+
+def _assemble(terms: tuple, history) -> np.ndarray:
+    """R from :func:`_rhs_terms` and the history entries ``(U_i, n_i, f_i)``, oldest first.
+
+    Each state's contribution is formed in full before it is added to R;
+    every stepper sums in this one order, so they agree bit for bit.
+    """
+    R = None
+    for (a, rest), entry in zip(terms, history):
+        c = entry[0] if a is None else a * entry[0]
+        for slot, b in rest:
+            c = c + (entry[slot] if b is None else b * entry[slot])
+        R = c if R is None else R + c
+    return R
+
+
+def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drifts, increments):
+    """R of one step from its k old states, their drifts and increments, oldest first.
+
+    The diffusion is evaluated only for states whose gamma is non-zero.
+    """
+    history = []
+    for x, f, dW, gamma in zip(states, drifts, increments, coeffs.gamma):
+        x = np.asarray(x, dtype=float)
+        noise = None
+        if gamma != 0.0:
+            noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
+        history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
+    return _assemble(_rhs_terms(coeffs, h), history)
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW, step_index=None):
@@ -425,8 +463,7 @@ def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW, s
     Assembles R = x_prev + g(x_prev) dW and solves x - h f(x) = R.
     """
     x_prev = np.asarray(x_prev, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    R = _bem_rhs(x_prev, _apply_noise(model.diffusion(x_prev), dW))
+    R = _lmm_rhs(model, BACKWARD_EULER, h, [x_prev], [None], [dW])
     return solve_implicit(model, 1.0, h, R, cfg, x_start=x_prev, step_index=step_index)
 
 
@@ -443,17 +480,11 @@ def step_bdf2(
     """One two-step backward-differentiation step (normalized form).
 
     Assembles
-        R = 4/3 x_prev - 1/3 x_prev2 + g(x_prev) dW_cur - 1/3 g(x_prev2) dW_prev
+        R = (-1/3 x_prev2 - 1/3 g(x_prev2) dW_prev) + (4/3 x_prev + g(x_prev) dW_cur)
     and solves x - (2/3) h f(x) = R.
     """
     x_prev = np.asarray(x_prev, dtype=float)
-    x_prev2 = np.asarray(x_prev2, dtype=float)
-    R = _bdf2_rhs(
-        x_prev,
-        x_prev2,
-        _apply_noise(model.diffusion(x_prev), np.asarray(dW_cur, dtype=float)),
-        _apply_noise(model.diffusion(x_prev2), np.asarray(dW_prev, dtype=float)),
-    )
+    R = _lmm_rhs(model, BDF2, h, [x_prev2, x_prev], [None, None], [dW_prev, dW_cur])
     return solve_implicit(model, 2.0 / 3.0, h, R, cfg, x_start=x_prev, step_index=step_index)
 
 
@@ -481,17 +512,7 @@ def step_lmm(
             f"histories must all have length k={k}, got "
             f"{len(state_history)}/{len(drift_history)}/{len(increment_history)}"
         )
-    R = None
-    for i in range(k):
-        contrib = (-coeffs.alpha[i]) * np.asarray(state_history[i], dtype=float)
-        if coeffs.beta[i] != 0.0:
-            contrib = contrib + (h * coeffs.beta[i]) * np.asarray(drift_history[i], dtype=float)
-        if coeffs.gamma[i] != 0.0:
-            g_i = model.diffusion(np.asarray(state_history[i], dtype=float))
-            contrib = contrib + coeffs.gamma[i] * _apply_noise(
-                g_i, np.asarray(increment_history[i], dtype=float)
-            )
-        R = contrib if R is None else R + contrib
+    R = _lmm_rhs(model, coeffs, h, state_history, drift_history, increment_history)
     if coeffs.implicit:
         x_next = solve_implicit(
             model,
@@ -508,6 +529,76 @@ def step_lmm(
     return x_next, f_next
 
 
+class _Stepper:
+    """Advances one k-step recursion over a state ``(m,)`` or a batch ``(B, m)``.
+
+    What does not change from step to step is settled at construction:
+    the step guard and stability warning, each implicit solve that will
+    run, and R as per-state operand lists (:func:`_rhs_terms`).  The
+    history keeps, per old state, the state, its noise product g(U) dW
+    and, only when some beta_i (i < k) is non-zero, its drift; so each
+    step evaluates the diffusion once and BDF2 evaluates no history drift.
+    The first k-1 calls of :meth:`advance` fill the starting values (one
+    drift-implicit Euler step each, or copies of x0 with ``copy_start``);
+    after them it runs the recursion.
+    """
+
+    def __init__(
+        self,
+        model: SdeModel,
+        coeffs: SchemeCoefficients,
+        solver_cfg: ImplicitSolverConfig,
+        h: float,
+        x0,
+        copy_start: bool = False,
+        override_step_guard: bool = False,
+    ):
+        StepGuard.for_scheme(model, coeffs).check(h, override=override_step_guard)
+        _stability_warnings(model, coeffs, h)
+        k = coeffs.k
+        self._drift = model.drift
+        self._diffusion = model.diffusion
+        self._keep_drift = any(b != 0.0 for b in coeffs.beta[:k])
+        self._terms = _rhs_terms(coeffs, h)
+        self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg) if coeffs.implicit else None
+        self._start_solve = None
+        if k >= 2 and not copy_start:
+            self._start_solve = _solve_core(model, 1.0, h, solver_cfg)
+        self._start_terms = _rhs_terms(BACKWARD_EULER, h)
+        self._k = k
+        self._history = []
+        self.x = np.array(x0, dtype=float)
+        self.j = 0
+        self.advance = self._start if k >= 2 else self._recur
+
+    def _push(self, x: np.ndarray, dW: np.ndarray) -> None:
+        f = self._drift(x) if self._keep_drift else None
+        self._history.append((x, _apply_noise(self._diffusion(x), dW), f))
+
+    def _start(self, dW: np.ndarray) -> np.ndarray:
+        self.j += 1
+        x = self.x
+        self._push(x, dW)
+        if self._start_solve is None:
+            self.x = x.copy()
+        else:
+            R = _assemble(self._start_terms, self._history[-1:])
+            self.x = _solve_rows(self._start_solve, R, x, self.j)
+        if self.j == self._k - 1:
+            self.advance = self._recur
+        return self.x
+
+    def _recur(self, dW: np.ndarray) -> np.ndarray:
+        self.j += 1
+        x = self.x
+        history = self._history
+        self._push(x, dW)
+        R = _assemble(self._terms, history)
+        del history[0]
+        self.x = R if self._solve is None else _solve_rows(self._solve, R, x, self.j)
+        return self.x
+
+
 def integrate(
     model: SdeModel,
     coeffs: SchemeCoefficients,
@@ -522,11 +613,12 @@ def integrate(
 
     ``states[0]`` is the initial condition; for k >= 2 the remaining
     starting values come from the initial-value policy (chained implicit
-    Euler steps, or copies of x0).  The drift is evaluated at most twice
-    per step: once inside the implicit solve, once to maintain the history.
-    Non-finite states propagate silently — explosion is recorded data, not
-    an error — but a singular Newton linearization aborts with the failing
-    step index attached.
+    Euler steps, or copies of x0).  Each step evaluates the diffusion once;
+    the drift is evaluated inside the implicit solve and, only for tuples
+    with some beta_i != 0 (i < k), once more for the history.  Non-finite
+    states propagate silently — explosion is recorded data, not an error —
+    but a singular Newton linearization aborts with the failing step index
+    attached.
     """
     if increments.grid != grid:
         raise ValueError("increment table grid does not match the integration grid")
@@ -539,54 +631,17 @@ def integrate(
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0}")
-    guard = StepGuard.for_scheme(model, coeffs)
-    guard.check(grid.h, override=override_step_guard)
-    _stability_warnings(model, coeffs, grid.h)
-
-    N, h, k = grid.N, grid.h, coeffs.k
+    copy_start = init.second == "copy_first"
+    stepper = _Stepper(model, coeffs, solver_cfg, grid.h, x0, copy_start, override_step_guard)
     inc = increments.increments
-    states = np.empty((N + 1, model.state_dim), dtype=float)
+    states = np.empty((grid.N + 1, model.state_dim), dtype=float)
     states[0] = x0
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hist_states = [x0]
-        hist_drifts = [model.drift(x0)]
-        # Starting values for multistep recursions.
-        for j in range(1, min(k, N + 1)):
-            if init.second == "copy_first":
-                xj = x0.copy()
-            else:
-                try:
-                    xj = step_bem(model, solver_cfg, hist_states[-1], h, inc[j - 1], step_index=j)
-                except SolverSingularError as err:
-                    raise SolverSingularError(
-                        f"implicit solve failed at step {j}: {err}", step_index=j
-                    ) from err
-            states[j] = xj
-            hist_states.append(xj)
-            hist_drifts.append(model.drift(xj))
-        hist_incs = [inc[j - 1] for j in range(1, min(k, N + 1))]
-
-        for j in range(k, N + 1):
-            hist_incs.append(inc[j - 1])
+        for j in range(1, grid.N + 1):
             try:
-                x_next, f_next = step_lmm(
-                    model,
-                    solver_cfg,
-                    coeffs,
-                    hist_states,
-                    hist_drifts,
-                    hist_incs,
-                    h,
-                    step_index=j,
-                )
+                states[j] = stepper.advance(inc[j - 1])
             except SolverSingularError as err:
                 raise SolverSingularError(
                     f"implicit solve failed at step {j}: {err}", step_index=j
                 ) from err
-            states[j] = x_next
-            hist_states = hist_states[1:] + [x_next]
-            hist_drifts = hist_drifts[1:] + [f_next]
-            hist_incs = hist_incs[1:]
-
     return GridFunction(grid=grid, states=states)

@@ -95,6 +95,15 @@ def test_sde_model_validates_dimensions_and_constants():
             SdeModel(drift=f, diffusion=g, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["L", "eta", "q"])
+def test_sde_model_rejects_non_finite_constants_by_name(name):
+    f = lambda x: -x
+    g = lambda x: np.zeros(x.shape + (1,))
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SdeModel(state_dim=1, noise_dim=1, drift=f, diffusion=g, **{name: value})
+
+
 def test_hs_norm_known_values_and_batching():
     assert hs_norm(np.array([[3.0, 4.0]])) == 5.0
     assert hs_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))

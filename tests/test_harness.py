@@ -414,7 +414,6 @@ def test_noise_free_linear_defects_shrink_quadratically():
     assert report.levels == (25, 50, 100, 200)
     assert report.h == (0.04, 0.02, 0.01, 0.005)
     assert report.samples == 100
-    assert report.bdf2_one_defect == report.bem_defect  # same formula, same path
     for r in report.bem_ratios + report.bdf2_pair_ratios:
         assert 3.7 <= r <= 4.3
 
