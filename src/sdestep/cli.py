@@ -29,12 +29,7 @@ from .harness import (
 )
 from .models import MODEL_DEFAULTS, make_model
 from .models import check_coercivity, check_local_lipschitz_f, check_monotonicity
-from .schemes import (
-    ImplicitSolverConfig,
-    InitialValuePolicy,
-    SolverSingularError,
-    integrate,
-)
+from .schemes import ImplicitSolverConfig, SolverSingularError, integrate
 
 _LEVELS_PATTERN = re.compile(r"^(\d+)x(\d+)\^(\d+)\.\.(\d+)$")
 
@@ -79,6 +74,15 @@ def _add_solver_arguments(p: argparse.ArgumentParser) -> None:
                    help="how multistep schemes obtain their second starting value")
 
 
+def _add_study_arguments(p: argparse.ArgumentParser, samples: int) -> None:
+    p.add_argument("--levels", default="25x2^0..7")
+    p.add_argument("--samples", type=int, default=samples)
+    p.add_argument("--ref-steps", type=int, default=25 * 2**12)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--reference", choices=("bem", "bdf2"), default="bdf2")
+    p.add_argument("--batch-size", type=int, default=1024)
+
+
 def _resolve_model(args):
     params, model = make_model(args.model, lam=args.lam, sigma=args.sigma)
     x0 = args.x0 if args.x0 is not None else MODEL_DEFAULTS[args.model]["x0"]
@@ -103,13 +107,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_converge(args) -> int:
+def _study_config(args, schemes: tuple[str, ...]) -> ExperimentConfig:
     _params, model, x0 = _resolve_model(args)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         model=model,
         x0=x0,
         T=args.horizon,
-        schemes=tuple(args.schemes.split(",")),
+        schemes=schemes,
         levels=parse_levels(args.levels),
         samples=args.samples,
         ref_steps=args.ref_steps,
@@ -120,7 +124,10 @@ def _cmd_converge(args) -> int:
         reference_scheme=args.reference,
         batch_size=args.batch_size,
     )
-    table = run_convergence_study(config)
+
+
+def _cmd_converge(args) -> int:
+    table = run_convergence_study(_study_config(args, tuple(args.schemes.split(","))))
     _emit(table.render_csv(), args.out)
     return 0
 
@@ -129,17 +136,14 @@ def _cmd_simulate(args) -> int:
     _params, model, x0 = _resolve_model(args)
     grid = TimeGrid(T=args.horizon, N=args.steps)
     table = generate_increments(grid, model.noise_dim, SeedSpec(args.seed, 0))
-    coeffs = SCHEME_COEFFS[args.scheme]
-    init = InitialValuePolicy(second="bem_step" if args.second_init == "bem" else "copy_first")
     traj = integrate(
         model,
-        coeffs,
+        SCHEME_COEFFS[args.scheme],
         _solver_config(args, force_step=args.force_step),
-        init,
         grid,
         table,
         np.asarray(x0),
-        override_step_guard=args.force_step,
+        second_init=args.second_init,
     )
     cols = ",".join(f"x{i + 1}" for i in range(model.state_dim))
     lines = [f"t,{cols}"]
@@ -187,23 +191,7 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
-    _params, model, x0 = _resolve_model(args)
-    config = ExperimentConfig(
-        model=model,
-        x0=x0,
-        T=args.horizon,
-        schemes=("bem", "bdf2"),
-        levels=parse_levels(args.levels),
-        samples=args.samples,
-        ref_steps=args.ref_steps,
-        base_seed=args.seed,
-        threads=args.threads,
-        second_init=args.second_init,
-        solver=_solver_config(args),
-        reference_scheme=args.reference,
-        batch_size=args.batch_size,
-    )
-    report = estimate_residuals(config)
+    report = estimate_residuals(_study_config(args, ("bem", "bdf2")))
     lines = ["N,h,one_step_defect,two_step_pair_defect"]
     for i, n in enumerate(report.levels):
         lines.append(
@@ -229,12 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_arguments(p)
     p.add_argument("--schemes", default="eulm,bem,bdf2",
                    help="comma list drawn from eulm,bem,bdf2")
-    p.add_argument("--levels", default="25x2^0..7")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--ref-steps", type=int, default=25 * 2**12)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--reference", choices=("bem", "bdf2"), default="bdf2")
-    p.add_argument("--batch-size", type=int, default=1024)
+    _add_study_arguments(p, samples=10_000)
     p.add_argument("--out", default=None, help="CSV path ('-' or omitted: stdout)")
     p.set_defaults(func=_cmd_converge)
 
@@ -244,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(SCHEME_COEFFS), default="bdf2")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--force-step", action="store_true",
-                   help="run outside the well-posedness step bound (at your own risk)")
+                   help="skip the well-posedness step bound h*beta*L < 1 (at your own risk)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 
@@ -264,12 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residuals", help="defect norms of the reference path per level")
     _add_model_arguments(p)
     _add_solver_arguments(p)
-    p.add_argument("--levels", default="25x2^0..7")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--ref-steps", type=int, default=25 * 2**12)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--reference", choices=("bem", "bdf2"), default="bdf2")
-    p.add_argument("--batch-size", type=int, default=1024)
+    _add_study_arguments(p, samples=1000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_residuals)
 

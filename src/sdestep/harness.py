@@ -41,7 +41,6 @@ from .core import (
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
-    InitialValuePolicy,
     _apply_noise,
     _Stepper,
     integrate,
@@ -177,9 +176,9 @@ def cfl_indicator(lam: float, h: float) -> bool:
 
 def _integrate_named(config: ExperimentConfig, scheme: str, table: IncrementTable) -> GridFunction:
     """One path of a named scheme over one increment table, as the study runs it."""
-    init = InitialValuePolicy(second="copy_first" if config.second_init == "copy" else "bem_step")
     return integrate(
-        config.model, SCHEME_COEFFS[scheme], config.solver, init, table.grid, table, config.x0
+        config.model, SCHEME_COEFFS[scheme], config.solver, table.grid, table, config.x0,
+        second_init=config.second_init,
     )
 
 
@@ -317,8 +316,18 @@ def write_csv(table: ErrorTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _batch_ranges(samples: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + batch_size, samples)) for lo in range(0, samples, batch_size)]
+def _map_batches(config: ExperimentConfig, batch_fn) -> list:
+    """``batch_fn(config, lo, hi)`` over the fixed contiguous batches, in batch order.
+
+    ``threads`` only spreads the batches over workers; the partials come
+    back in batch order either way, so merging them is deterministic.
+    """
+    n, size = config.samples, config.batch_size
+    ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if config.threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            return list(pool.map(lambda r: batch_fn(config, *r), ranges))
+    return [batch_fn(config, *r) for r in ranges]
 
 
 def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
@@ -351,8 +360,7 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
         snapshots[n][:, 0, :] = x0
 
     coeffs = SCHEME_COEFFS[config.reference_scheme]
-    copy_start = config.second_init == "copy"
-    stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, copy_start=copy_start)
+    stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, config.second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for consumed in range(0, ref_steps, chunk):
             fine_chunk = np.stack([g.standard_normal((chunk, d)) for g in gens], axis=1) * sqrt_h
@@ -377,7 +385,6 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
     B = hi - lo
     x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
-    copy_start = config.second_init == "copy"
 
     out = {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -386,7 +393,7 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
             ref_states = snapshots[n]
             for scheme in config.schemes:
                 coeffs = SCHEME_COEFFS[scheme]
-                stepper = _Stepper(model, coeffs, config.solver, h, x0, copy_start=copy_start)
+                stepper = _Stepper(model, coeffs, config.solver, h, x0, config.second_init)
                 devsq = np.empty((B, n + 1))
                 devsq[:, 0] = 0.0
                 for j, dW in enumerate(coarse_incs[n], 1):
@@ -412,12 +419,7 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     is a deterministic function of the config alone — thread count only
     spreads batches over workers.
     """
-    ranges = _batch_ranges(config.samples, config.batch_size)
-    if config.threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(lambda r: _study_batch(config, *r), ranges))
-    else:
-        partials = [_study_batch(config, *r) for r in ranges]
+    partials = _map_batches(config, _study_batch)
 
     rows = []
     totals = {
@@ -559,12 +561,7 @@ def estimate_residuals(config: ExperimentConfig, samples: int | None = None) -> 
             "residual estimation needs at least 100 samples for a stable "
             f"Monte Carlo norm, got {config.samples}"
         )
-    ranges = _batch_ranges(config.samples, config.batch_size)
-    if config.threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(lambda r: _residual_batch(config, *r), ranges))
-    else:
-        partials = [_residual_batch(config, *r) for r in ranges]
+    partials = _map_batches(config, _residual_batch)
 
     bem_max, pair_max, hs = [], [], []
     for n in config.levels:

@@ -42,9 +42,20 @@ __all__ = [
 ]
 
 
-def _check_sigma(sigma: float) -> None:
+def _check_sigma(params) -> None:
+    """Reject a sigma that is not a finite real >= 0 or that makes eta unusable.
+
+    eta divides by 2 sigma^2, so a tiny sigma divides by zero (sigma^2
+    underflows) or gives an infinite eta (sigma^2 is subnormal).
+    """
+    sigma = params.sigma
     if not (sigma >= 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be a finite real >= 0, got {sigma}")
+    if sigma > 0.0 and not (sigma**2 > 0.0 and 0.0 < params.eta < math.inf):
+        raise ValueError(
+            f"sigma={sigma} is too small: the weight eta, which divides by 2 sigma^2,"
+            " is not a positive finite real"
+        )
 
 
 @dataclass(frozen=True)
@@ -63,7 +74,7 @@ class ThreeHalvesVol:
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be a positive finite real, got {self.lam}")
-        _check_sigma(self.sigma)
+        _check_sigma(self)
 
     @property
     def in_theory(self) -> bool:
@@ -119,7 +130,7 @@ class ToyCubic2D:
     def __post_init__(self) -> None:
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be a finite real >= 0, got {self.lam}")
-        _check_sigma(self.sigma)
+        _check_sigma(self)
 
     @property
     def in_theory(self) -> bool:

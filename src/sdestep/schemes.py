@@ -7,9 +7,10 @@ differentiation scheme both reduce each step to a root problem
 
 where R aggregates everything already known (old states, explicit drift
 terms, noise terms).  For monotone drifts this equation has a unique
-solution whenever ``h * beta * L < 1`` — that bound is enforced by
-:class:`StepGuard`.  The solve itself either uses a model-supplied closed
-form or a fixed number of Newton iterations.
+solution whenever ``h * beta * L < 1``.  Every implicit solve checks that
+bound once, when it is set up (:func:`_solve_core`), for each ``beta`` a
+run will use.  The solve itself either uses a model-supplied closed form
+or a fixed number of Newton iterations.
 
 All steppers are vectorized over leading axes: states may be ``(m,)`` or
 ``(B, m)`` and keep that shape, which is what makes the Monte Carlo
@@ -31,8 +32,6 @@ __all__ = [
     "StepSizeError",
     "SolverSingularError",
     "ImplicitSolverConfig",
-    "InitialValuePolicy",
-    "StepGuard",
     "closed_form_32vol",
     "solve_implicit",
     "step_explicit_euler",
@@ -46,7 +45,7 @@ _SINGULAR_TOL = 1e-14
 
 
 class StepSizeError(ValueError):
-    """Raised when an implicit scheme is asked to run with h outside its guard."""
+    """Raised when an implicit solve is asked to run with h outside its bound."""
 
 
 class SolverSingularError(RuntimeError):
@@ -66,32 +65,32 @@ class ImplicitSolverConfig:
     """How to solve the per-step root problem x - h*beta*f(x) = R.
 
     mode
-        "closed_form" uses the model's exact solve, "newton" runs the
-        damped-free Newton iteration, "auto" (default) picks closed_form
-        when the model provides one and newton otherwise.
+        "closed_form" uses the model's exact solve (a model without one is
+        a configuration error), "newton" runs the damped-free Newton
+        iteration, "auto" (default) picks closed_form when the model
+        provides one and newton otherwise.
     newton_iterations
         Exact number of Newton updates when ``newton_tolerance`` is 0.
     newton_tolerance
         If positive, iteration stops early once the residual norm
         ``|x - h*beta*f(x) - R|`` drops to this level everywhere.
-    fallback_to_newton
-        Lets mode="closed_form" degrade to Newton when the model has no
-        closed-form solve (otherwise that is a configuration error).
     newton_start
         Start iterate: "rhs" (default) starts from R itself — R is the
         Euler-style predictor already in hand; "prev" uses the previous
         state when the caller has one (the steppers pass it).  Bare
         ``solve_implicit`` calls without history always start from R.
     enforce_step_bound
-        When False, ``solve_implicit`` skips its h*beta*L < 1 check.
-        Outside that bound uniqueness (and Newton invertibility) is lost;
-        this exists for deliberate what-happens-if runs, not production.
+        The one switch of the well-posedness bound h*beta*L < 1, checked
+        for every implicit solve: the recursion's, the drift-implicit
+        Euler starter's and each bare ``solve_implicit``.  When False the
+        bound is skipped (h must still be a positive finite real).
+        Outside it uniqueness (and Newton invertibility) is lost; this
+        exists for deliberate what-happens-if runs, not production.
     """
 
     mode: str = "auto"
     newton_iterations: int = 5
     newton_tolerance: float = 0.0
-    fallback_to_newton: bool = True
     newton_start: str = "rhs"
     enforce_step_bound: bool = True
 
@@ -104,55 +103,6 @@ class ImplicitSolverConfig:
             raise ValueError("newton_tolerance must be >= 0")
         if self.newton_start not in ("prev", "rhs"):
             raise ValueError(f"unknown newton_start {self.newton_start!r}")
-
-
-@dataclass(frozen=True)
-class InitialValuePolicy:
-    """How a multistep integration fills states before the recursion starts.
-
-    The first value is always the exact initial condition.  For the
-    second value, "bem_step" advances one drift-implicit Euler step using
-    the first Brownian increment (which the two-step recursion then reuses
-    as its oldest increment), while "copy_first" repeats x0 — cheaper but
-    observably less accurate.
-    """
-
-    first: str = "exact_x0"
-    second: str = "bem_step"
-
-    def __post_init__(self) -> None:
-        if self.first != "exact_x0":
-            raise ValueError(f"unsupported first-value policy {self.first!r}")
-        if self.second not in ("bem_step", "copy_first"):
-            raise ValueError(f"unsupported second-value policy {self.second!r}")
-
-
-@dataclass(frozen=True)
-class StepGuard:
-    """Well-posedness bound for implicit steps: requires h < max_h = 1/(beta_k L).
-
-    Below the bound, x -> x - h*beta_k*f(x) is a bijection for monotone
-    drifts, so every implicit step has exactly one solution.  Explicit
-    recursions (beta_k = 0) are unguarded (max_h = inf).
-    """
-
-    max_h: float
-
-    @classmethod
-    def for_scheme(cls, model: SdeModel, coeffs: SchemeCoefficients) -> "StepGuard":
-        beta_k = coeffs.beta[coeffs.k]
-        if beta_k == 0.0:
-            return cls(max_h=math.inf)
-        return cls(max_h=1.0 / (beta_k * model.L))
-
-    def check(self, h: float, override: bool = False) -> None:
-        if not (h > 0.0 and np.isfinite(h)):
-            raise StepSizeError(f"step size must be a positive finite real, got {h}")
-        if h >= self.max_h and not override:
-            raise StepSizeError(
-                f"step size h={h} violates the well-posedness bound h < {self.max_h}"
-                " (pass an explicit override to run anyway)"
-            )
 
 
 def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -> None:
@@ -314,28 +264,27 @@ def _newton_solve(
 def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfig):
     """Check the step equation x - h*beta*f(x) = R once and return its solver.
 
-    Raises for ``beta <= 0``, ``h <= 0``, a violated step bound (unless
-    ``cfg.enforce_step_bound`` is off) and a solver mode the model cannot
-    serve.  The returned ``core(R, x_start, step_index)`` solves for finite
-    R and checks nothing further; :func:`_solve_rows` adds the handling of
-    non-finite rows.
+    Raises for ``beta <= 0``, an ``h`` that is not a positive finite real,
+    a violated step bound h*beta*L < 1 (unless ``cfg.enforce_step_bound``
+    is off) and a solver mode the model cannot serve.  This is the only
+    check of the step bound.  The returned ``core(R, x_start, step_index)``
+    solves for finite R and checks nothing further; :func:`_solve_rows`
+    adds the handling of non-finite rows.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
-    if not (h > 0.0):
-        raise StepSizeError(f"step size must be positive, got {h}")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise StepSizeError(f"step size must be a positive finite real, got {h}")
     if cfg.enforce_step_bound and not (h * beta * model.L < 1.0):
         raise StepSizeError(
-            f"h*beta*L = {h * beta * model.L} outside (0, 1); the implicit step is not guaranteed well-posed"
+            f"h*beta*L = {h * beta * model.L} outside (0, 1); the implicit step is not"
+            " guaranteed well-posed (turn off enforce_step_bound to run anyway)"
         )
     mode = cfg.mode
     if mode == "auto":
         mode = "closed_form" if model.closed_form_implicit is not None else "newton"
     if mode == "closed_form" and model.closed_form_implicit is None:
-        if cfg.fallback_to_newton:
-            mode = "newton"
-        else:
-            raise ValueError("model provides no closed-form implicit solve and fallback is disabled")
+        raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
         closed_form = model.closed_form_implicit
@@ -378,9 +327,9 @@ def solve_implicit(
 ):
     """Solve the implicit step equation x - h*beta*f(x) = R.
 
-    Requires ``0 < h*beta*L < 1`` (the step guard).  Non-finite rows of R
-    propagate as NaN without touching the solver — an exploded sample is
-    data, not an error.  ``x_start`` optionally seeds the Newton
+    Requires ``0 < h*beta*L < 1`` unless ``cfg.enforce_step_bound`` is off.
+    Non-finite rows of R propagate as NaN without touching the solver — an
+    exploded sample is data, not an error.  ``x_start`` optionally seeds the Newton
     iteration (used by the steppers when cfg.newton_start == "prev");
     without it the iteration starts from R.
     """
@@ -533,14 +482,14 @@ class _Stepper:
     """Advances one k-step recursion over a state ``(m,)`` or a batch ``(B, m)``.
 
     What does not change from step to step is settled at construction:
-    the step guard and stability warning, each implicit solve that will
-    run, and R as per-state operand lists (:func:`_rhs_terms`).  The
+    each implicit solve that will run (with its step bound), the stability
+    warning, and R as per-state operand lists (:func:`_rhs_terms`).  The
     history keeps, per old state, the state, its noise product g(U) dW
     and, only when some beta_i (i < k) is non-zero, its drift; so each
     step evaluates the diffusion once and BDF2 evaluates no history drift.
     The first k-1 calls of :meth:`advance` fill the starting values (one
-    drift-implicit Euler step each, or copies of x0 with ``copy_start``);
-    after them it runs the recursion.
+    drift-implicit Euler step each with ``second_init="bem"``, or copies of
+    x0 with ``"copy"``); after them it runs the recursion.
     """
 
     def __init__(
@@ -550,20 +499,20 @@ class _Stepper:
         solver_cfg: ImplicitSolverConfig,
         h: float,
         x0,
-        copy_start: bool = False,
-        override_step_guard: bool = False,
+        second_init: str = "bem",
     ):
-        StepGuard.for_scheme(model, coeffs).check(h, override=override_step_guard)
-        _stability_warnings(model, coeffs, h)
+        if second_init not in ("bem", "copy"):
+            raise ValueError(f"second_init must be 'bem' or 'copy', got {second_init!r}")
         k = coeffs.k
+        self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg) if coeffs.implicit else None
+        self._start_solve = None
+        if k >= 2 and second_init == "bem":
+            self._start_solve = _solve_core(model, 1.0, h, solver_cfg)
+        _stability_warnings(model, coeffs, h)
         self._drift = model.drift
         self._diffusion = model.diffusion
         self._keep_drift = any(b != 0.0 for b in coeffs.beta[:k])
         self._terms = _rhs_terms(coeffs, h)
-        self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg) if coeffs.implicit else None
-        self._start_solve = None
-        if k >= 2 and not copy_start:
-            self._start_solve = _solve_core(model, 1.0, h, solver_cfg)
         self._start_terms = _rhs_terms(BACKWARD_EULER, h)
         self._k = k
         self._history = []
@@ -603,17 +552,16 @@ def integrate(
     model: SdeModel,
     coeffs: SchemeCoefficients,
     solver_cfg: ImplicitSolverConfig,
-    init: InitialValuePolicy,
     grid: TimeGrid,
     increments: IncrementTable,
     x0,
-    override_step_guard: bool = False,
+    second_init: str = "bem",
 ) -> GridFunction:
     """Run a k-step recursion across the whole grid and return the trajectory.
 
     ``states[0]`` is the initial condition; for k >= 2 the remaining
-    starting values come from the initial-value policy (chained implicit
-    Euler steps, or copies of x0).  Each step evaluates the diffusion once;
+    starting values are chained implicit Euler steps (``second_init="bem"``)
+    or copies of x0 (``"copy"``).  Each step evaluates the diffusion once;
     the drift is evaluated inside the implicit solve and, only for tuples
     with some beta_i != 0 (i < k), once more for the history.  Non-finite
     states propagate silently — explosion is recorded data, not an error —
@@ -631,8 +579,7 @@ def integrate(
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0}")
-    copy_start = init.second == "copy_first"
-    stepper = _Stepper(model, coeffs, solver_cfg, grid.h, x0, copy_start, override_step_guard)
+    stepper = _Stepper(model, coeffs, solver_cfg, grid.h, x0, second_init)
     inc = increments.increments
     states = np.empty((grid.N + 1, model.state_dim), dtype=float)
     states[0] = x0

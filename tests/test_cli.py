@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sdestep.cli import main, parse_levels
+from sdestep.cli import build_parser, main, parse_levels
 
 
 def test_parse_levels_geometric_spec():
@@ -187,6 +187,34 @@ def test_non_finite_model_input_exits_two(argv, name, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+@pytest.mark.parametrize("model", ["vol32", "toy2d"])
+def test_tiny_sigma_is_rejected_by_name(model, sigma, capsys):
+    # sigma**2 underflows to 0 (1e-200) or is subnormal (1e-160), so eta is unusable
+    rc = main(["simulate", "--model", model, "--sigma", sigma, "--steps", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma")
+
+
+def test_closed_form_solver_without_a_closed_form_exits_two(capsys):
+    rc = main(["simulate", "--model", "toy2d", "--solver", "closed_form", "--steps", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "closed-form" in captured.err
+
+
+def test_study_commands_share_their_study_options():
+    parser = build_parser()
+    converge = vars(parser.parse_args(["converge", "--model", "vol32"]))
+    residuals = vars(parser.parse_args(["residuals", "--model", "vol32"]))
+    study = ("levels", "samples", "ref_steps", "threads", "reference", "batch_size")
+    assert [converge[k] for k in study] == ["25x2^0..7", 10_000, 25 * 2**12, 1, "bdf2", 1024]
+    assert [residuals[k] for k in study] == ["25x2^0..7", 1000, 25 * 2**12, 1, "bdf2", 1024]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

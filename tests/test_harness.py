@@ -26,6 +26,7 @@ from sdestep import (
 from sdestep.harness import (
     LevelRow,
     SchemeCell,
+    _map_batches,
     _reference_pass,
     estimate_residuals,
     residual_defects,
@@ -212,7 +213,7 @@ def test_engine_evaluates_the_diffusion_once_per_step():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_copy_start_checks_no_one_step_bound():
-    # h = 1: inside the two-step guard (h < 3/2), on the one-step bound (h*1*L = 1)
+    # h = 1: inside the two-step bound (h < 3/2), on the one-step bound (h*1*L = 1)
     kw = dict(model=VOL32, x0=(1.0,), schemes=("bdf2",), levels=(1,), samples=4, ref_steps=8)
     table = run_convergence_study(ExperimentConfig(second_init="copy", **kw))
     assert np.isfinite(table.cell(1, "bdf2").error)
@@ -285,6 +286,20 @@ def test_thread_count_never_changes_the_rendered_table():
     serial = run_convergence_study(ExperimentConfig(**base, threads=1))
     pooled = run_convergence_study(ExperimentConfig(**base, threads=4))
     assert serial.render_csv() == pooled.render_csv()
+
+
+def test_batch_fan_out_keeps_batch_order_for_any_thread_count():
+    base = dict(
+        model=VOL32, x0=(1.0,), levels=(25, 50), samples=100, ref_steps=100,
+        base_seed=5, batch_size=32,
+    )
+    serial = ExperimentConfig(**base, threads=1)
+    pooled = ExperimentConfig(**base, threads=3)
+    ranges = [(0, 32), (32, 64), (64, 96), (96, 100)]
+    assert _map_batches(pooled, lambda config, lo, hi: (lo, hi)) == ranges
+    assert _map_batches(serial, lambda config, lo, hi: (lo, hi)) == ranges
+    # repr round-trips floats exactly, so equal reprs mean bitwise-equal defects
+    assert repr(estimate_residuals(serial)) == repr(estimate_residuals(pooled))
 
 
 def test_explosion_accounting_for_explicit_stepping():

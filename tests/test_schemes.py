@@ -10,12 +10,10 @@ from sdestep import (
     BDF2,
     EXPLICIT_EULER,
     ImplicitSolverConfig,
-    InitialValuePolicy,
     SchemeCoefficients,
     SdeModel,
     SeedSpec,
     SolverSingularError,
-    StepGuard,
     StepSizeError,
     TimeGrid,
     closed_form_32vol,
@@ -60,45 +58,68 @@ def zero_table(grid: TimeGrid, d: int = 1) -> IncrementTable:
     return IncrementTable(grid=grid, noise_dim=d, increments=np.zeros((grid.N, d)))
 
 
-# ---------------------------------------------------------------- step guard
+# ---------------------------------------------------------------- step bound
 
 
-def test_step_guard_bounds_per_scheme():
-    assert StepGuard.for_scheme(VOL32, BACKWARD_EULER).max_h == 1.0
-    assert StepGuard.for_scheme(VOL32, BDF2).max_h == 1.5
-    assert StepGuard.for_scheme(VOL32, EXPLICIT_EULER).max_h == np.inf
-    model2 = replace(VOL32, L=4.0)
-    assert StepGuard.for_scheme(model2, BACKWARD_EULER).max_h == 0.25
+@pytest.mark.parametrize(
+    "coeffs,second_init,L,bound",
+    [
+        (BACKWARD_EULER, "bem", 1.0, 1.0),
+        (BACKWARD_EULER, "bem", 4.0, 0.25),
+        (BDF2, "copy", 1.0, 1.5),
+        (BDF2, "copy", 4.0, 0.375),
+        (BDF2, "bem", 1.0, 1.0),  # the drift-implicit Euler starter's beta = 1
+        (BDF2, "bem", 4.0, 0.25),
+        (EXPLICIT_EULER, "bem", 1.0, np.inf),
+    ],
+    ids=["bem-L1", "bem-L4", "bdf2-copy-L1", "bdf2-copy-L4", "bdf2-bem-L1", "bdf2-bem-L4", "eulm"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_step_bound_sits_at_one_over_beta_L(coeffs, second_init, L, bound):
+    """h < 1/(beta L) for every implicit solve that runs: 1/L for BEM, 3/(2L) for BDF2."""
+    model = replace(VOL32, L=L)
+    cfg = ImplicitSolverConfig()
 
+    def run(h):
+        grid = TimeGrid(T=2.0 * h, N=2)
+        return integrate(model, coeffs, cfg, grid, zero_table(grid), [0.5], second_init=second_init)
 
-def test_step_guard_check_and_override():
-    guard = StepGuard(max_h=1.0)
-    guard.check(0.5)
+    if np.isinf(bound):
+        assert run(1e6).states.shape == (3, 1)
+        return
+    assert np.isfinite(run(bound * (1.0 - 1e-9)).states).all()
     with pytest.raises(StepSizeError):
-        guard.check(1.0)
-    with pytest.raises(StepSizeError):
-        guard.check(2.0)
-    guard.check(2.0, override=True)
-    for h in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(StepSizeError):
-            guard.check(h, override=True)
+        run(bound)
+    if coeffs is BDF2 and second_init == "bem":
+        # a copy start runs no implicit Euler step, so 1/L is inside the BDF2 bound
+        grid = TimeGrid(T=2.0 * bound, N=2)
+        integrate(model, BDF2, cfg, grid, zero_table(grid), [0.5], second_init="copy")
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
+def test_non_positive_or_non_finite_steps_are_rejected_even_without_the_bound(h):
+    for cfg in (ImplicitSolverConfig(), ImplicitSolverConfig(enforce_step_bound=False)):
+        with pytest.raises(StepSizeError, match="positive finite"):
+            solve_implicit(VOL32, 1.0, h, np.array([1.0]), cfg)
+        with pytest.raises(StepSizeError, match="positive finite"):
+            step_bem(VOL32, cfg, np.array([1.0]), h, np.array([0.0]))
 
 
 def test_integration_warns_above_stricter_stability_candidates():
-    grid = TimeGrid(T=1.0, N=5)  # h = 0.2 > 0.1, inside the guard
+    grid = TimeGrid(T=1.0, N=5)  # h = 0.2 > 0.1, inside the step bound
     inc = zero_table(grid)
     with pytest.warns(RuntimeWarning, match="stability"):
-        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
     with pytest.warns(RuntimeWarning, match="stability"):
-        integrate(VOL32, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+        integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
 
     fine = TimeGrid(T=1.0, N=25)  # h = 0.04 < both candidates
     import warnings as _warnings
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
-        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), InitialValuePolicy(), fine, zero_table(fine), [1.0])
-        integrate(VOL32, EXPLICIT_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), fine, zero_table(fine), [1.0], second_init="bem")
+        integrate(VOL32, EXPLICIT_EULER, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
 
 
 # ------------------------------------------------------- closed-form solve
@@ -205,13 +226,11 @@ def test_solver_mode_configuration_errors():
     with pytest.raises(ValueError):
         solve_implicit(no_jac, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="newton"))
     no_closed = replace(VOL32, closed_form_implicit=None)
-    with pytest.raises(ValueError):
-        solve_implicit(
-            no_closed, 1.0, 0.01, np.array([1.0]),
-            ImplicitSolverConfig(mode="closed_form", fallback_to_newton=False),
-        )
-    # with fallback the same request silently degrades to Newton
-    x = solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="closed_form"))
+    # "closed_form" is strict: a model without a closed form is a configuration error ...
+    with pytest.raises(ValueError, match="closed-form"):
+        solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="closed_form"))
+    # ... while "auto" picks Newton for it
+    x = solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="auto"))
     assert residual(no_closed, 1.0, 0.01, x, np.array([1.0])) <= 1e-10 * 2.0
     with pytest.raises(ValueError):
         ImplicitSolverConfig(mode="bogus")
@@ -423,29 +442,31 @@ def test_integrate_validates_inputs():
     inc = zero_table(grid)
     cfg = ImplicitSolverConfig()
     with pytest.raises(ValueError):
-        integrate(VOL32, BACKWARD_EULER, cfg, InitialValuePolicy(), other, inc, [1.0])
+        integrate(VOL32, BACKWARD_EULER, cfg, other, inc, [1.0], second_init="bem")
     with pytest.raises(ValueError):
-        integrate(TOY, BACKWARD_EULER, cfg, InitialValuePolicy(), grid, inc, [1.0, 2.0])
+        integrate(TOY, BACKWARD_EULER, cfg, grid, inc, [1.0, 2.0], second_init="bem")
     with pytest.raises(ValueError):
-        integrate(VOL32, BACKWARD_EULER, cfg, InitialValuePolicy(), grid, inc, [1.0, 2.0])
+        integrate(VOL32, BACKWARD_EULER, cfg, grid, inc, [1.0, 2.0], second_init="bem")
 
 
 def test_integrate_rejects_a_non_finite_initial_state():
     grid = TimeGrid(T=1.0, N=10)
     for x0 in ([np.nan], [np.inf]):
         with pytest.raises(ValueError, match="^x0 must be finite"):
-            integrate(VOL32, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, zero_table(grid), x0)
+            integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(grid), x0, second_init="bem")
 
 
 def test_integrate_guard_rejects_large_steps_unless_overridden():
     grid = TimeGrid(T=2.0, N=1)  # h = 2 >= 1/(beta_k L) = 1
     inc = zero_table(grid)
     with pytest.raises(StepSizeError):
-        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [0.5])
+        integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), grid, inc, [0.5], second_init="bem")
+    # enforce_step_bound is the one switch: alone it lets integrate step past the bound
     loose = ImplicitSolverConfig(enforce_step_bound=False)
     with pytest.warns(RuntimeWarning):
-        out = integrate(VOL32, BACKWARD_EULER, loose, InitialValuePolicy(), grid, inc, [0.5], override_step_guard=True)
+        out = integrate(VOL32, BACKWARD_EULER, loose, grid, inc, [0.5], second_init="bem")
     assert out.states.shape == (2, 1)
+    assert np.isfinite(out.states).all()
 
 
 def test_integrate_constant_dynamics_and_copy_first():
@@ -457,12 +478,13 @@ def test_integrate_constant_dynamics_and_copy_first():
     )
     grid = TimeGrid(T=1.0, N=8)
     inc = generate_increments(grid, 1, SeedSpec(3, 0))
-    out = integrate(still, EXPLICIT_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.25])
+    out = integrate(still, EXPLICIT_EULER, ImplicitSolverConfig(), grid, inc, [1.25], second_init="bem")
     assert np.all(out.states == 1.25)
 
     copied = integrate(
-        VOL32, BDF2, ImplicitSolverConfig(), InitialValuePolicy(second="copy_first"),
+        VOL32, BDF2, ImplicitSolverConfig(),
         TimeGrid(T=1.0, N=25), generate_increments(TimeGrid(T=1.0, N=25), 1, SeedSpec(3, 1)), [1.0],
+        second_init="copy",
     )
     assert np.array_equal(copied.states[1], copied.states[0])
 
@@ -471,7 +493,7 @@ def test_integrate_bdf2_first_steps_satisfy_the_per_step_equations():
     sig0 = make_model("vol32", 4.0, 0.0)[1]
     grid = TimeGrid(T=1.0, N=25)
     inc = zero_table(grid)
-    out = integrate(sig0, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+    out = integrate(sig0, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
     X = out.states
     h = grid.h
     # state 1 comes from one drift-implicit Euler step
@@ -485,7 +507,7 @@ def test_integrate_explosion_is_silent_and_sticky():
     toy0 = make_model("toy2d", 96.0, 0.0)[1]
     grid = TimeGrid(T=1.0, N=25)
     inc = zero_table(grid, d=2)
-    out = integrate(toy0, EXPLICIT_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [2.0, 3.0])
+    out = integrate(toy0, EXPLICIT_EULER, ImplicitSolverConfig(), grid, inc, [2.0, 3.0], second_init="bem")
     finite_rows = np.isfinite(out.states).all(axis=1)
     assert not finite_rows[-1]
     # once gone, never back
@@ -498,7 +520,7 @@ def test_integrate_reports_the_failing_step_on_singular_solves():
     grid = TimeGrid(T=1.0, N=10)
     inc = zero_table(grid)
     with pytest.raises(SolverSingularError) as excinfo:
-        integrate(model, BACKWARD_EULER, ImplicitSolverConfig(mode="newton"), InitialValuePolicy(), grid, inc, [0.0])
+        integrate(model, BACKWARD_EULER, ImplicitSolverConfig(mode="newton"), grid, inc, [0.0], second_init="bem")
     assert excinfo.value.step_index == 1
     assert "step 1" in str(excinfo.value)
 
@@ -518,7 +540,7 @@ def test_integrate_equals_chained_step_lmm_calls_bitwise(coeffs):
     grid = TimeGrid(T=1.0, N=50)
     inc = generate_increments(grid, 1, SeedSpec(5, 0))
     cfg = ImplicitSolverConfig()
-    traj = integrate(VOL32, coeffs, cfg, InitialValuePolicy(), grid, inc, [1.0])
+    traj = integrate(VOL32, coeffs, cfg, grid, inc, [1.0], second_init="bem")
     k, dW = coeffs.k, inc.increments
     states = [np.array([1.0])]
     for j in range(1, k):
@@ -547,14 +569,14 @@ def test_bdf2_integrate_calls_the_diffusion_once_per_step_and_no_history_drift()
     model = replace(VOL32, drift=counted("drift"), diffusion=counted("diffusion"))
     grid = TimeGrid(T=1.0, N=40)
     inc = generate_increments(grid, 1, SeedSpec(2, 0))
-    integrate(model, BDF2, ImplicitSolverConfig(mode="closed_form"), InitialValuePolicy(), grid, inc, [1.0])
+    integrate(model, BDF2, ImplicitSolverConfig(mode="closed_form"), grid, inc, [1.0], second_init="bem")
     assert counts == {"drift": 0, "diffusion": grid.N}
 
 
 def test_integrate_single_step_grid_with_two_step_scheme():
     grid = TimeGrid(T=0.01, N=1)
     inc = zero_table(grid)
-    out = integrate(VOL32, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+    out = integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
     assert out.states.shape == (2, 1)
     assert np.isfinite(out.states).all()
 
@@ -568,8 +590,8 @@ def test_deterministic_limit_convergence_orders():
     for n in levels:
         grid = TimeGrid(T=1.0, N=n)
         inc = zero_table(grid)
-        bem = integrate(model, BACKWARD_EULER, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
-        bdf = integrate(model, BDF2, ImplicitSolverConfig(), InitialValuePolicy(), grid, inc, [1.0])
+        bem = integrate(model, BACKWARD_EULER, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
+        bdf = integrate(model, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
         errors["bem"].append(abs(bem.states[-1, 0] - exact))
         errors["bdf2"].append(abs(bdf.states[-1, 0] - exact))
     for scheme, floor in (("bem", 0.95), ("bdf2", 1.9)):
@@ -593,7 +615,7 @@ def test_newton_residuals_decrease_through_the_iteration():
     K = 5
     traj = integrate(
         logged, BDF2, ImplicitSolverConfig(mode="newton", newton_iterations=K),
-        InitialValuePolicy(), grid, inc, [2.0, 3.0],
+        grid, inc, [2.0, 3.0], second_init="bem",
     )
     assert len(calls) == grid.N * K
 
