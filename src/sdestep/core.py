@@ -51,6 +51,13 @@ class TimeGrid:
         return np.arange(self.N + 1) * self.h
 
 
+def _require_positive_finite(**values: float) -> None:
+    """Reject the first value that is not a positive finite real, naming it."""
+    for name, value in values.items():
+        if not (value > 0.0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be a positive finite real, got {value}")
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Autonomous SDE dX = f(X) dt + g(X) dW with declared structural constants.
@@ -85,10 +92,7 @@ class SdeModel:
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ValueError("state_dim and noise_dim must be positive")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
-            raise ValueError(f"L must be a positive finite real, got {self.L}")
-        if not (self.eta > 0.0 and np.isfinite(self.eta)):
-            raise ValueError(f"eta must be a positive finite real, got {self.eta}")
+        _require_positive_finite(L=self.L, eta=self.eta)
         if not (self.q >= 1.0 and np.isfinite(self.q)):
             raise ValueError(f"q must be a finite growth exponent >= 1, got {self.q}")
 

@@ -13,19 +13,22 @@ Reproducibility rules baked in here:
 
 * every sample's noise comes from its own counter-based stream keyed by
   ``(base_seed, sample_index)``;
-* samples are processed in fixed contiguous batches and batch partial
-  sums are merged in batch order with compensated (Kahan) summation, so
-  the output is bitwise identical for any number of worker threads;
-* a sample whose compared states contain anything non-finite is counted
-  as exploded and excluded from the mean — a table cell is rendered "-"
-  once at least 0.1% of samples exploded.
+* samples are processed in fixed contiguous batches whose partial sums
+  are merged in batch order with compensated (Kahan) summation, so the
+  output is bitwise identical for any number of worker threads;
+* a sample with anything non-finite in its squared norms counts as
+  exploded (exploded = samples - valid) and adds zeros; a table number is
+  the largest root-mean-square over the grid points (NaN without a valid
+  sample), and a cell is rendered "-" once at least 0.1% of samples
+  exploded.  The study, the residual estimate and :func:`strong_error`
+  share this one reduction.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -190,12 +193,39 @@ def reference_trajectory(config: ExperimentConfig, sample_index: int) -> GridFun
     return _integrate_named(config, config.reference_scheme, table)
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, value: np.ndarray) -> None:
-    """One compensated-summation update, in place."""
-    y = value - comp
-    t = total + y
-    comp[:] = (t - total) - y
-    total[:] = t
+def _masked_sums(*squares: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
+    """``(column sums, valid count)`` of per-sample rows; a sample with anything
+    non-finite in any of its rows is exploded and its rows are zeroed in place."""
+    valid = np.logical_and.reduce([np.isfinite(sq).all(axis=1) for sq in squares])
+    for sq in squares:
+        sq[~valid] = 0.0
+    return tuple(sq.sum(axis=0) for sq in squares), int(valid.sum())
+
+
+def _kahan_merge(partials: Sequence[dict]) -> dict:
+    """Kahan-merge ``{key: (sums, valid)}`` partials in list order (batch order)
+    into ``{key: (totals, valid)}``; the result depends only on that order."""
+    merged = {}
+    for part in partials:
+        for key, (sums, valid) in part.items():
+            if key not in merged:
+                zeros = [np.zeros_like(v) for v in sums]
+                merged[key] = (zeros, [z.copy() for z in zeros], 0)
+            totals, comps, count = merged[key]
+            for total, comp, value in zip(totals, comps, sums):
+                y = value - comp
+                t = total + y
+                comp[:] = (t - total) - y
+                total[:] = t
+            merged[key] = (totals, comps, count + valid)
+    return {key: (tuple(totals), count) for key, (totals, _comps, count) in merged.items()}
+
+
+def _rms_max(total: np.ndarray, valid: int) -> float:
+    """``sqrt(max(total / valid))``; NaN with no valid sample or no grid point."""
+    if valid == 0 or total.size == 0:
+        return float("nan")
+    return float(np.sqrt(np.max(total / valid)))
 
 
 def strong_error(
@@ -209,18 +239,18 @@ def strong_error(
     ``references[i]`` must be the fine-grid reference of sample index i
     (same base seed); the sample's noise is regenerated here and coarsened
     onto the level grid, so scheme and reference see the same Brownian
-    path.  Returns ``(error, exploded_count)``; the error is NaN when
-    every sample exploded.
+    path.  Each sample is one partial of the shared reduction, merged in
+    sample order.  Returns ``(error, exploded_count)``; the error is NaN
+    when every sample exploded or ``references`` is empty.
     """
     if scheme not in SCHEME_COEFFS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if config.ref_steps % n_steps != 0:
         raise ValueError(f"level N={n_steps} does not divide ref_steps={config.ref_steps}")
     factor = config.ref_steps // n_steps
-    total = np.zeros(n_steps + 1)
-    comp = np.zeros(n_steps + 1)
-    valid = 0
-    exploded = 0
+    partials = []
     for idx, ref in enumerate(references):
         if ref.grid != config.fine_grid:
             raise ValueError(f"reference {idx} lives on {ref.grid}, expected {config.fine_grid}")
@@ -228,18 +258,12 @@ def strong_error(
             config.fine_grid, config.model.noise_dim, SeedSpec(config.base_seed, idx)
         )
         states = _integrate_named(config, scheme, coarsen(fine, factor)).states
-        ref_states = ref.states[::factor]
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = states - ref_states
+            dev = states - ref.states[::factor]
             devsq = np.sum(dev * dev, axis=-1)
-        if not np.isfinite(devsq).all():
-            exploded += 1
-            continue
-        _kahan_add(total, comp, devsq)
-        valid += 1
-    if valid == 0:
-        return float("nan"), exploded
-    return float(np.sqrt(np.max(total / valid))), exploded
+        partials.append({n_steps: _masked_sums(devsq[None])})
+    (total,), valid = _kahan_merge(partials).get(n_steps, ((np.empty(0),), 0))
+    return _rms_max(total, valid), len(references) - valid
 
 
 @dataclass(frozen=True)
@@ -253,9 +277,14 @@ class SchemeCell:
 
     @property
     def is_exploded(self) -> bool:
-        if self.samples == 0 or not np.isfinite(self.error):
-            return True
-        return self.exploded / self.samples >= EXPLOSION_RENDER_THRESHOLD
+        return _renders_exploded(self.error, self.exploded, self.samples)
+
+
+def _renders_exploded(error: float, exploded: int, samples: int) -> bool:
+    """Whether a cell renders "-": no samples, a non-finite error or too many explosions."""
+    if samples == 0 or not np.isfinite(error):
+        return True
+    return exploded / samples >= EXPLOSION_RENDER_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -380,10 +409,9 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
 
 
 def _study_batch(config: ExperimentConfig, lo: int, hi: int):
-    """Per-batch partial sums for every (level, scheme) pair."""
+    """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations."""
     model = config.model
     B = hi - lo
-    x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
 
     out = {}
@@ -391,6 +419,7 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
         for n in config.levels:
             h = config.level_grid(n).h
             ref_states = snapshots[n]
+            x0 = ref_states[:, 0]
             for scheme in config.schemes:
                 coeffs = SCHEME_COEFFS[scheme]
                 stepper = _Stepper(model, coeffs, config.solver, h, x0, config.second_init)
@@ -399,13 +428,7 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
                 for j, dW in enumerate(coarse_incs[n], 1):
                     dev = stepper.advance(dW) - ref_states[:, j, :]
                     devsq[:, j] = np.sum(dev * dev, axis=-1)
-                valid = np.isfinite(devsq).all(axis=1)
-                devsq[~valid] = 0.0
-                out[(n, scheme)] = (
-                    devsq.sum(axis=0),
-                    int(valid.sum()),
-                    int(B - valid.sum()),
-                )
+                out[(n, scheme)] = _masked_sums(devsq)
     return out
 
 
@@ -419,31 +442,18 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     is a deterministic function of the config alone — thread count only
     spreads batches over workers.
     """
-    partials = _map_batches(config, _study_batch)
+    merged = _kahan_merge(_map_batches(config, _study_batch))
 
     rows = []
-    totals = {
-        (n, s): (np.zeros(n + 1), np.zeros(n + 1), 0, 0)
-        for n in config.levels
-        for s in config.schemes
-    }
-    for part in partials:
-        for key, (sq, valid, exploded) in part.items():
-            total, comp, v0, e0 = totals[key]
-            _kahan_add(total, comp, sq)
-            totals[key] = (total, comp, v0 + valid, e0 + exploded)
-
     prev: dict[str, tuple[float, float] | None] = {s: None for s in config.schemes}
     for n in config.levels:
         h = config.level_grid(n).h
         cells = {}
         for s in config.schemes:
-            total, _comp, valid, exploded = totals[(n, s)]
-            if valid > 0:
-                error = float(np.sqrt(np.max(total / valid)))
-            else:
-                error = float("nan")
-            cell_exploded = SchemeCell(error, None, exploded, config.samples).is_exploded
+            (total,), valid = merged[(n, s)]
+            error = _rms_max(total, valid)
+            exploded = config.samples - valid
+            cell_exploded = _renders_exploded(error, exploded, config.samples)
             order = None
             if not cell_exploded and prev[s] is not None:
                 order = eoc(prev[s][0], error, prev[s][1], h)
@@ -525,6 +535,7 @@ def residual_defects(model: SdeModel, states: np.ndarray, increments: np.ndarray
 
 
 def _residual_batch(config: ExperimentConfig, lo: int, hi: int):
+    """Per-batch partials ``{level: ((one sums, pair sums), valid)}`` of the squared defects."""
     model = config.model
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
     out = {}
@@ -533,56 +544,30 @@ def _residual_batch(config: ExperimentConfig, lo: int, hi: int):
             h = config.level_grid(n).h
             increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
             one, pair = residual_defects(model, snapshots[n], increments, h)
-            one_sq = np.sum(one * one, axis=-1)
-            pair_sq = np.sum(pair * pair, axis=-1)
-            valid = np.isfinite(one_sq).all(axis=1) & np.isfinite(pair_sq).all(axis=1)
-            one_sq[~valid] = 0.0
-            pair_sq[~valid] = 0.0
-            out[n] = (
-                one_sq.sum(axis=0),
-                pair_sq.sum(axis=0),
-                int(valid.sum()),
-            )
+            out[n] = _masked_sums(np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1))
     return out
 
 
-def estimate_residuals(config: ExperimentConfig, samples: int | None = None) -> ResidualReport:
+def estimate_residuals(config: ExperimentConfig) -> ResidualReport:
     """Measure how the reference path's local defects scale across levels.
 
     Integrates the fine reference per sample, restricts it to each level
     grid, and evaluates the per-step defect formulas above under the
-    coarsened noise.  ``samples`` overrides ``config.samples`` (residual
-    studies are usually much cheaper than error studies).
+    coarsened noise.  A sample whose defects are not all finite is left
+    out; a level with a single step has no pair defect (NaN).
     """
-    if samples is not None:
-        config = replace(config, samples=int(samples))
     if config.samples < 100:
         raise ValueError(
             "residual estimation needs at least 100 samples for a stable "
             f"Monte Carlo norm, got {config.samples}"
         )
-    partials = _map_batches(config, _residual_batch)
+    merged = _kahan_merge(_map_batches(config, _residual_batch))
 
     bem_max, pair_max, hs = [], [], []
     for n in config.levels:
-        total_one = np.zeros(n)
-        comp_one = np.zeros(n)
-        total_pair = np.zeros(max(n - 1, 0))
-        comp_pair = np.zeros(max(n - 1, 0))
-        valid = 0
-        for part in partials:
-            one_sq, pair_sq, v = part[n]
-            _kahan_add(total_one, comp_one, one_sq)
-            _kahan_add(total_pair, comp_pair, pair_sq)
-            valid += v
-        if valid == 0:
-            bem_max.append(float("nan"))
-            pair_max.append(float("nan"))
-        else:
-            bem_max.append(float(np.sqrt(np.max(total_one / valid))))
-            pair_max.append(
-                float(np.sqrt(np.max(total_pair / valid))) if n >= 2 else float("nan")
-            )
+        (one_total, pair_total), valid = merged[n]
+        bem_max.append(_rms_max(one_total, valid))
+        pair_max.append(_rms_max(pair_total, valid))
         hs.append(config.level_grid(n).h)
     return ResidualReport(
         levels=config.levels,

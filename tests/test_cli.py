@@ -133,6 +133,23 @@ def test_check_model_reports_violations(capsys):
     assert out.count("  violation:") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--condition", "monotonicity", "--L", "nan"], "L"),
+        (["--condition", "coercivity", "--L", "inf"], "L"),
+        (["--condition", "lipschitz", "--L", "-1"], "L"),
+        (["--condition", "monotonicity", "--radius", "nan"], "box"),
+        (["--condition", "lipschitz", "--radius", "0"], "box"),
+        (["--condition", "monotonicity", "--eta", "inf"], "eta"),
+    ],
+)
+def test_check_model_rejects_bad_scan_arguments(argv, name, capsys):
+    rc = main(["check-model", "--model", "vol32", "--pairs", "100", *argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be a positive finite real")
+
+
 def test_residuals_table_and_ratio_lines(capsys):
     rc = main([
         "residuals", "--model", "vol32", "--levels", "25,50,100",

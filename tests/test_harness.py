@@ -26,8 +26,11 @@ from sdestep import (
 from sdestep.harness import (
     LevelRow,
     SchemeCell,
+    _kahan_merge,
     _map_batches,
+    _masked_sums,
     _reference_pass,
+    _rms_max,
     estimate_residuals,
     residual_defects,
 )
@@ -235,19 +238,68 @@ def test_strong_error_of_the_reference_against_itself_is_zero():
     assert exploded == 0
 
 
+_, TOY_SIGMA1 = make_model("toy2d", 96.0, 1.0)
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
 def test_per_sample_and_batched_routes_agree():
+    vol32 = dict(model=VOL32, x0=(1.0,), schemes=("bem", "bdf2"), samples=24, base_seed=3,
+                 batch_size=7)
+    # explicit Euler on stiff toy2d explodes 32/11/0 samples, so counts are compared non-zero
+    toy_eulm = dict(model=TOY_SIGMA1, x0=(2.0, 3.0), schemes=("eulm",), samples=32, base_seed=77,
+                    batch_size=16)
+    for kw, exploded in ((vol32, (0, 0, 0)), (toy_eulm, (32, 11, 0))):
+        cfg = ExperimentConfig(levels=(25, 50, 100), ref_steps=400, **kw)
+        refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
+        table = run_convergence_study(cfg)
+        assert tuple(table.cell(n, cfg.schemes[0]).exploded for n in cfg.levels) == exploded
+        for scheme in cfg.schemes:
+            for n in cfg.levels:
+                err, exploded_count = strong_error(cfg, scheme, n, refs)
+                cell = table.cell(n, scheme)
+                assert _same_float(err, cell.error) or abs(err - cell.error) <= 1e-12 * (1.0 + err)
+                assert exploded_count == cell.exploded
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_sample_batches_reduce_exactly_like_the_per_sample_route():
+    """With batch_size=1 both routes feed the same partials to the same merge."""
     cfg = ExperimentConfig(
-        model=VOL32, x0=(1.0,), schemes=("bem", "bdf2"), levels=(25, 50, 100),
-        samples=24, ref_steps=400, base_seed=3, batch_size=7,
+        model=TOY_SIGMA1, x0=(2.0, 3.0), levels=(25, 50, 100), samples=32, ref_steps=400,
+        base_seed=77, batch_size=1,
     )
     refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
     table = run_convergence_study(cfg)
     for scheme in cfg.schemes:
         for n in cfg.levels:
             err, exploded = strong_error(cfg, scheme, n, refs)
-            cell = table.cell(n, scheme)
-            assert abs(err - cell.error) <= 1e-12 * (1.0 + err)
-            assert exploded == cell.exploded
+            assert _same_float(err, table.cell(n, scheme).error)
+            assert exploded == table.cell(n, scheme).exploded
+
+
+def test_strong_error_rejects_empty_levels_and_keeps_empty_references():
+    cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(25,), samples=2, ref_steps=100)
+    for n_steps in (0, -4):
+        with pytest.raises(ValueError, match="n_steps"):
+            strong_error(cfg, "bdf2", n_steps, [])
+    err, exploded = strong_error(cfg, "bdf2", 25, [])
+    assert np.isnan(err) and exploded == 0
+
+
+def test_reduction_masks_whole_samples_and_merges_in_order():
+    one = np.array([[1.0, 2.0], [np.inf, 1.0], [3.0, 4.0]])
+    pair = np.array([[1.0], [1.0], [np.nan]])
+    (one_sums, pair_sums), valid = _masked_sums(one, pair)
+    assert valid == 1  # a non-finite entry in either array drops the whole sample
+    assert one_sums.tolist() == [1.0, 2.0] and pair_sums.tolist() == [1.0]
+    parts = [{"k": ((np.array([1.0]),), 1)}] + [{"k": ((np.array([1e-16]),), 2)}] * 10
+    (total,), count = _kahan_merge(parts)["k"]
+    assert count == 21 and total[0] == 1.0 + 1e-15  # plain summation would stay at 1.0
+    assert np.isnan(_rms_max(np.array([4.0]), 0)) and np.isnan(_rms_max(np.empty(0), 5))
+    assert _rms_max(np.array([2.0, 8.0]), 2) == 2.0
 
 
 def test_noise_free_errors_do_not_depend_on_sample_count():
@@ -452,6 +504,6 @@ def test_defect_estimation_requires_a_stable_sample_size():
         samples=500, ref_steps=400, base_seed=1,
     )
     with pytest.raises(ValueError):
-        estimate_residuals(cfg, samples=99)
-    report = estimate_residuals(cfg, samples=100)  # boundary is inclusive
+        estimate_residuals(dataclasses.replace(cfg, samples=99))
+    report = estimate_residuals(dataclasses.replace(cfg, samples=100))  # boundary is inclusive
     assert report.samples == 100

@@ -277,6 +277,28 @@ def test_local_lipschitz_bound():
     assert rep.ok
 
 
+@pytest.mark.parametrize("name", ["L", "box", "eta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_checkers_reject_scan_arguments_that_are_not_positive_finite(name, value):
+    _, model = make_model("vol32", 4.0, 1.0)
+    args = dict(L=1.0, box=10.0, eta=2.0, q=2.0)
+    args[name] = value
+    checks = [
+        lambda: check_monotonicity(model.drift, model.diffusion, eta=args["eta"], L=args["L"],
+                                   box=args["box"], n_pairs=10),
+    ]
+    if name != "eta":  # only the monotonicity inequality has a weight eta
+        checks += [
+            lambda: check_coercivity(model.drift, model.diffusion, L=args["L"], q=args["q"],
+                                     box=args["box"], n_points=10),
+            lambda: check_local_lipschitz_f(model.drift, L=args["L"], q=args["q"],
+                                            box=args["box"], n_pairs=10),
+        ]
+    for check in checks:
+        with pytest.raises(ValueError, match=rf"\b{name} must"):
+            check()
+
+
 def test_report_slack_sign_tracks_the_verdict():
     _, model = make_model("vol32", 4.0, 1.0)
     for rep in (
