@@ -32,6 +32,7 @@ from .models import check_coercivity, check_local_lipschitz_f, check_monotonicit
 from .schemes import ImplicitSolverConfig, SolverSingularError, integrate
 
 _LEVELS_PATTERN = re.compile(r"^(\d+)x(\d+)\^(\d+)\.\.(\d+)$")
+_MAX_LEVEL = 2**63 - 1
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
@@ -42,6 +43,13 @@ def parse_levels(text: str) -> tuple[int, ...]:
         base, factor, lo, hi = (int(g) for g in m.groups())
         if hi < lo:
             raise ValueError(f"empty exponent range in levels spec {text!r}")
+        # Bound the spec before building it: factor**64 > _MAX_LEVEL for any
+        # factor >= 2 (base 0 counts as 1 here), and ascending levels up to
+        # _MAX_LEVEL number at most 63, whatever the factor.
+        if max(base, 1) * factor ** min(hi, 64) > _MAX_LEVEL:
+            raise ValueError(f"levels spec {text!r} reaches past 2**63 - 1")
+        if hi - lo >= 64:
+            raise ValueError(f"levels spec {text!r} has more than 64 levels")
         return tuple(base * factor**k for k in range(lo, hi + 1))
     try:
         return tuple(int(part) for part in text.split(","))
@@ -156,6 +164,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    if args.eta is not None and args.condition != "monotonicity":
+        raise ValueError(f"--eta weights only --condition monotonicity, not {args.condition}")
+    if args.show < 0:
+        raise ValueError(f"--show must be >= 0, got {args.show}")
     params, model, _x0 = _resolve_model(args)
     eta = args.eta if args.eta is not None else params.eta
     common = dict(box=args.radius, seed=args.seed, state_dim=model.state_dim)

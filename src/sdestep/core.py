@@ -58,6 +58,13 @@ def _require_positive_finite(**values: float) -> None:
             raise ValueError(f"{name} must be a positive finite real, got {value}")
 
 
+def _require_non_negative(**counts: int) -> None:
+    """Reject the first count that is negative, naming it."""
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Autonomous SDE dX = f(X) dt + g(X) dW with declared structural constants.

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SdeModel, _require_positive_finite
+from .core import SdeModel, _require_non_negative, _require_positive_finite
 from .schemes import closed_form_32vol
 
 __all__ = [
@@ -328,6 +328,7 @@ def check_monotonicity(
     even though the formula itself would evaluate fine.
     """
     _require_positive_finite(L=L, box=box, eta=eta)
+    _require_non_negative(n_pairs=n_pairs)
     if not (eta > 0.5):
         raise ValueError(f"monotonicity weight eta must exceed 1/2, got {eta}")
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
@@ -356,6 +357,7 @@ def check_coercivity(
     over the deterministic lattice plus ``n_points`` seeded uniform states.
     """
     _require_positive_finite(L=L, box=box)
+    _require_non_negative(n_points=n_points)
     x = _point_set(box, state_dim, n_points, seed)
     fx = f(x)
     gx = g(x)
@@ -379,6 +381,7 @@ def check_local_lipschitz_f(
         |f(x1) - f(x2)|  <=  L (1 + |x1|^{q-1} + |x2|^{q-1}) |x1 - x2|.
     """
     _require_positive_finite(L=L, box=box)
+    _require_non_negative(n_pairs=n_pairs)
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
     df = f(x1) - f(x2)
     dx = x1 - x2

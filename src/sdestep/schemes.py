@@ -9,8 +9,10 @@ where R aggregates everything already known (old states, explicit drift
 terms, noise terms).  For monotone drifts this equation has a unique
 solution whenever ``h * beta * L < 1``.  Every implicit solve checks that
 bound once, when it is set up (:func:`_solve_core`), for each ``beta`` a
-run will use.  The solve itself either uses a model-supplied closed form
-or a fixed number of Newton iterations.
+run will use.  The set-up returns ``solve(R)``, a function of R alone: a
+model-supplied closed form or a fixed number of Newton iterations started
+from R.  A singular Newton linearization of a single state raises
+:class:`SolverSingularError`; :func:`integrate` attaches the failing step.
 
 All steppers are vectorized over leading axes: states may be ``(m,)`` or
 ``(B, m)`` and keep that shape, which is what makes the Monte Carlo
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,17 +71,13 @@ class ImplicitSolverConfig:
         "closed_form" uses the model's exact solve (a model without one is
         a configuration error), "newton" runs the damped-free Newton
         iteration, "auto" (default) picks closed_form when the model
-        provides one and newton otherwise.
+        provides one and newton otherwise.  Newton always starts from R
+        itself, the Euler-style predictor already in hand.
     newton_iterations
         Exact number of Newton updates when ``newton_tolerance`` is 0.
     newton_tolerance
         If positive, iteration stops early once the residual norm
         ``|x - h*beta*f(x) - R|`` drops to this level everywhere.
-    newton_start
-        Start iterate: "rhs" (default) starts from R itself — R is the
-        Euler-style predictor already in hand; "prev" uses the previous
-        state when the caller has one (the steppers pass it).  Bare
-        ``solve_implicit`` calls without history always start from R.
     enforce_step_bound
         The one switch of the well-posedness bound h*beta*L < 1, checked
         for every implicit solve: the recursion's, the drift-implicit
@@ -91,7 +90,6 @@ class ImplicitSolverConfig:
     mode: str = "auto"
     newton_iterations: int = 5
     newton_tolerance: float = 0.0
-    newton_start: str = "rhs"
     enforce_step_bound: bool = True
 
     def __post_init__(self) -> None:
@@ -101,8 +99,6 @@ class ImplicitSolverConfig:
             raise ValueError("newton_iterations must be >= 1")
         if self.newton_tolerance < 0.0:
             raise ValueError("newton_tolerance must be >= 0")
-        if self.newton_start not in ("prev", "rhs"):
-            raise ValueError(f"unknown newton_start {self.newton_start!r}")
 
 
 def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -> None:
@@ -176,7 +172,7 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     return float(x) if x.ndim == 0 else x
 
 
-def _solve_linear(A: np.ndarray, b: np.ndarray, step_index: int | None):
+def _solve_linear(A: np.ndarray, b: np.ndarray):
     """Solve A x = b for (..., m, m) systems with a hard singularity floor.
 
     Scalar and 2x2 systems are inverted in closed form; larger systems go
@@ -194,8 +190,7 @@ def _solve_linear(A: np.ndarray, b: np.ndarray, step_index: int | None):
         if single:
             if bad:
                 raise SolverSingularError(
-                    f"singular Newton linearization (|diag|={abs(float(det)):.3e})",
-                    step_index=step_index,
+                    f"singular Newton linearization (|diag|={abs(float(det)):.3e})"
                 )
             return b / det
         out = np.empty_like(b)
@@ -211,8 +206,7 @@ def _solve_linear(A: np.ndarray, b: np.ndarray, step_index: int | None):
         bad = np.abs(det) < _SINGULAR_TOL
         if single and bad:
             raise SolverSingularError(
-                f"singular Newton linearization (|det|={abs(float(det)):.3e})",
-                step_index=step_index,
+                f"singular Newton linearization (|det|={abs(float(det)):.3e})"
             )
         x1 = (a22 * b[..., 0] - a12 * b[..., 1]) / det
         x2 = (a11 * b[..., 1] - a21 * b[..., 0]) / det
@@ -225,8 +219,7 @@ def _solve_linear(A: np.ndarray, b: np.ndarray, step_index: int | None):
     if single:
         if bad:
             raise SolverSingularError(
-                f"singular Newton linearization (|det|={abs(float(det)):.3e})",
-                step_index=step_index,
+                f"singular Newton linearization (|det|={abs(float(det)):.3e})"
             )
         return np.linalg.solve(A, b)
     if np.any(bad):
@@ -236,19 +229,12 @@ def _solve_linear(A: np.ndarray, b: np.ndarray, step_index: int | None):
     return out
 
 
-def _newton_solve(
-    model: SdeModel,
-    beta: float,
-    h: float,
-    R: np.ndarray,
-    cfg: ImplicitSolverConfig,
-    x_start: np.ndarray | None,
-    step_index: int | None,
-) -> np.ndarray:
+def _newton_solve(model: SdeModel, beta: float, h: float, R: np.ndarray, cfg: ImplicitSolverConfig):
+    """Newton iteration for x - h*beta*f(x) = R, started from R."""
     m = R.shape[-1]
     bh = beta * h
     eye = np.eye(m)
-    x = np.array(x_start if x_start is not None else R, dtype=float, copy=True)
+    x = R.copy()
     for _ in range(cfg.newton_iterations):
         phi = x - bh * model.drift(x) - R
         if cfg.newton_tolerance > 0.0:
@@ -257,19 +243,21 @@ def _newton_solve(
             if not np.any(still_working):
                 break
         dphi = eye - bh * model.drift_jacobian(x)
-        x = x - _solve_linear(dphi, phi, step_index)
+        x = x - _solve_linear(dphi, phi)
     return x
 
 
 def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfig):
-    """Check the step equation x - h*beta*f(x) = R once and return its solver.
+    """Check the step equation x - h*beta*f(x) = R once and return ``solve(R)``.
 
     Raises for ``beta <= 0``, an ``h`` that is not a positive finite real,
     a violated step bound h*beta*L < 1 (unless ``cfg.enforce_step_bound``
     is off) and a solver mode the model cannot serve.  This is the only
-    check of the step bound.  The returned ``core(R, x_start, step_index)``
-    solves for finite R and checks nothing further; :func:`_solve_rows`
-    adds the handling of non-finite rows.
+    check of the step bound.  The returned ``solve(R)`` takes a float array
+    R of shape ``(m,)`` or ``(B, m)``.  One whole-array finiteness test
+    settles the common case; otherwise only the finite rows reach the
+    closed form or Newton, and the others (or a single non-finite state)
+    come back NaN.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
@@ -287,56 +275,32 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
         raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
-        closed_form = model.closed_form_implicit
-        return lambda R, x_start, step_index: closed_form(beta, h, R)
-    if model.drift_jacobian is None:
+        core = partial(model.closed_form_implicit, beta, h)
+    elif model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
-    from_prev = cfg.newton_start == "prev"
+    else:
+        core = partial(_newton_solve, model, beta, h, cfg=cfg)
 
-    def newton(R, x_start, step_index):
-        start = x_start if from_prev else None
-        return _newton_solve(model, beta, h, R, cfg, start, step_index)
+    def solve(R: np.ndarray) -> np.ndarray:
+        if np.isfinite(R).all():
+            return core(R)
+        finite = np.isfinite(R).all(axis=-1)
+        out = np.full_like(R, np.nan)
+        if R.ndim > 1 and finite.any():
+            out[finite] = core(R[finite])
+        return out
 
-    return newton
-
-
-def _solve_rows(core, R: np.ndarray, x_start: np.ndarray | None, step_index: int | None):
-    """``core`` applied to the rows of R that are finite; the others come back NaN.
-
-    One whole-array test settles the common case.  Only when it fails are
-    rows sorted out; non-finite rows never reach the solver, and a single
-    non-finite state comes back as NaN.
-    """
-    if np.isfinite(R).all():
-        return core(R, x_start, step_index)
-    finite = np.isfinite(R).all(axis=-1)
-    out = np.full_like(R, np.nan)
-    if R.ndim > 1 and finite.any():
-        out[finite] = core(R[finite], None if x_start is None else x_start[finite], step_index)
-    return out
+    return solve
 
 
-def solve_implicit(
-    model: SdeModel,
-    beta: float,
-    h: float,
-    R,
-    cfg: ImplicitSolverConfig,
-    x_start=None,
-    step_index: int | None = None,
-):
+def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolverConfig):
     """Solve the implicit step equation x - h*beta*f(x) = R.
 
     Requires ``0 < h*beta*L < 1`` unless ``cfg.enforce_step_bound`` is off.
     Non-finite rows of R propagate as NaN without touching the solver — an
-    exploded sample is data, not an error.  ``x_start`` optionally seeds the Newton
-    iteration (used by the steppers when cfg.newton_start == "prev");
-    without it the iteration starts from R.
+    exploded sample is data, not an error.  Newton starts from R.
     """
-    core = _solve_core(model, beta, h, cfg)
-    if x_start is not None:
-        x_start = np.asarray(x_start, dtype=float)
-    return _solve_rows(core, np.asarray(R, dtype=float), x_start, step_index)
+    return _solve_core(model, beta, h, cfg)(np.asarray(R, dtype=float))
 
 
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
@@ -406,14 +370,13 @@ def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drif
     return _assemble(_rhs_terms(coeffs, h), history)
 
 
-def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW, step_index=None):
+def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
     """One drift-implicit Euler-Maruyama step.
 
     Assembles R = x_prev + g(x_prev) dW and solves x - h f(x) = R.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
     R = _lmm_rhs(model, BACKWARD_EULER, h, [x_prev], [None], [dW])
-    return solve_implicit(model, 1.0, h, R, cfg, x_start=x_prev, step_index=step_index)
+    return solve_implicit(model, 1.0, h, R, cfg)
 
 
 def step_bdf2(
@@ -424,7 +387,6 @@ def step_bdf2(
     h: float,
     dW_cur,
     dW_prev,
-    step_index=None,
 ):
     """One two-step backward-differentiation step (normalized form).
 
@@ -432,9 +394,8 @@ def step_bdf2(
         R = (-1/3 x_prev2 - 1/3 g(x_prev2) dW_prev) + (4/3 x_prev + g(x_prev) dW_cur)
     and solves x - (2/3) h f(x) = R.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
     R = _lmm_rhs(model, BDF2, h, [x_prev2, x_prev], [None, None], [dW_prev, dW_cur])
-    return solve_implicit(model, 2.0 / 3.0, h, R, cfg, x_start=x_prev, step_index=step_index)
+    return solve_implicit(model, 2.0 / 3.0, h, R, cfg)
 
 
 def step_lmm(
@@ -445,7 +406,6 @@ def step_lmm(
     drift_history,
     increment_history,
     h: float,
-    step_index=None,
 ):
     """One step of a general k-step recursion given its coefficient tuples.
 
@@ -462,18 +422,7 @@ def step_lmm(
             f"{len(state_history)}/{len(drift_history)}/{len(increment_history)}"
         )
     R = _lmm_rhs(model, coeffs, h, state_history, drift_history, increment_history)
-    if coeffs.implicit:
-        x_next = solve_implicit(
-            model,
-            coeffs.beta[k],
-            h,
-            R,
-            cfg,
-            x_start=np.asarray(state_history[-1], dtype=float),
-            step_index=step_index,
-        )
-    else:
-        x_next = R
+    x_next = solve_implicit(model, coeffs.beta[k], h, R, cfg) if coeffs.implicit else R
     f_next = model.drift(x_next)
     return x_next, f_next
 
@@ -517,7 +466,6 @@ class _Stepper:
         self._k = k
         self._history = []
         self.x = np.array(x0, dtype=float)
-        self.j = 0
         self.advance = self._start if k >= 2 else self._recur
 
     def _push(self, x: np.ndarray, dW: np.ndarray) -> None:
@@ -525,26 +473,23 @@ class _Stepper:
         self._history.append((x, _apply_noise(self._diffusion(x), dW), f))
 
     def _start(self, dW: np.ndarray) -> np.ndarray:
-        self.j += 1
         x = self.x
         self._push(x, dW)
         if self._start_solve is None:
             self.x = x.copy()
         else:
             R = _assemble(self._start_terms, self._history[-1:])
-            self.x = _solve_rows(self._start_solve, R, x, self.j)
-        if self.j == self._k - 1:
+            self.x = self._start_solve(R)
+        if len(self._history) == self._k - 1:
             self.advance = self._recur
         return self.x
 
     def _recur(self, dW: np.ndarray) -> np.ndarray:
-        self.j += 1
-        x = self.x
         history = self._history
-        self._push(x, dW)
+        self._push(self.x, dW)
         R = _assemble(self._terms, history)
         del history[0]
-        self.x = R if self._solve is None else _solve_rows(self._solve, R, x, self.j)
+        self.x = R if self._solve is None else self._solve(R)
         return self.x
 
 

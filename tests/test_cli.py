@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,15 @@ def test_parse_levels_rejects_garbage():
     for text in ("abc", "25;50", "25x2^3..1", "", "25x2"):
         with pytest.raises(ValueError):
             parse_levels(text)
+
+
+def test_parse_levels_rejects_specs_past_int64_before_building_them():
+    for text in ("25x2^0..1000000", "25x2^0..59", "0x2^1000000000..1000000000"):
+        with pytest.raises(ValueError, match=re.escape(f"levels spec {text!r} reaches past 2**63 - 1")):
+            parse_levels(text)
+    with pytest.raises(ValueError, match="more than 64 levels"):
+        parse_levels("25x1^0..1000000000")
+    assert max(parse_levels("25x2^0..58")) == 25 * 2**58  # the largest that fits
 
 
 def test_converge_small_study_to_stdout(capsys):
@@ -148,6 +158,38 @@ def test_check_model_rejects_bad_scan_arguments(argv, name, capsys):
     rc = main(["check-model", "--model", "vol32", "--pairs", "100", *argv])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {name} must be a positive finite real")
+
+
+@pytest.mark.parametrize("condition", ["coercivity", "lipschitz"])
+@pytest.mark.parametrize("eta", ["inf", "nan", "2"])
+def test_check_model_rejects_eta_for_conditions_without_a_weight(condition, eta, capsys):
+    rc = main(["check-model", "--model", "vol32", "--pairs", "100",
+               "--condition", condition, "--eta", eta])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --eta weights only --condition monotonicity")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--condition", "monotonicity", "--pairs", "-5"], "n_pairs must be >= 0, got -5"),
+        (["--condition", "lipschitz", "--pairs", "-5"], "n_pairs must be >= 0, got -5"),
+        (["--condition", "coercivity", "--pairs", "-5"], "n_points must be >= 0, got -5"),
+        (["--condition", "coercivity", "--show", "-1"], "--show must be >= 0, got -1"),
+    ],
+)
+def test_check_model_rejects_negative_counts_by_name(argv, message, capsys):
+    rc = main(["check-model", "--model", "vol32", "--lambda", "1", "--sigma", "1", *argv])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_model_show_prints_at_most_the_recorded_violations(capsys):
+    argv = ["check-model", "--model", "vol32", "--lambda", "1", "--sigma", "1",
+            "--condition", "coercivity", "--pairs", "20000"]
+    for show, printed in (("0", 0), ("4", 4), ("1000", 50)):  # 50 are recorded
+        assert main([*argv, "--show", show]) == 0
+        assert capsys.readouterr().out.count("  violation:") == printed
 
 
 def test_residuals_table_and_ratio_lines(capsys):

@@ -299,6 +299,24 @@ def test_checkers_reject_scan_arguments_that_are_not_positive_finite(name, value
             check()
 
 
+def test_checkers_reject_negative_sample_counts_and_accept_zero():
+    _, model = make_model("vol32", 4.0, 1.0)
+    checks = {
+        "n_pairs": [
+            lambda n: check_monotonicity(model.drift, model.diffusion, eta=2.0, L=1.0, n_pairs=n),
+            lambda n: check_local_lipschitz_f(model.drift, L=1.0, q=2.0, n_pairs=n),
+        ],
+        "n_points": [
+            lambda n: check_coercivity(model.drift, model.diffusion, L=1.0, q=2.0, n_points=n),
+        ],
+    }
+    for name, calls in checks.items():
+        for check in calls:
+            with pytest.raises(ValueError, match=rf"\b{name} must be >= 0, got -5"):
+                check(-5)
+            assert check(0).pairs_tested > 0  # the deterministic lattice alone
+
+
 def test_report_slack_sign_tracks_the_verdict():
     _, model = make_model("vol32", 4.0, 1.0)
     for rep in (

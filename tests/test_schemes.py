@@ -236,8 +236,6 @@ def test_solver_mode_configuration_errors():
         ImplicitSolverConfig(mode="bogus")
     with pytest.raises(ValueError):
         ImplicitSolverConfig(newton_iterations=0)
-    with pytest.raises(ValueError):
-        ImplicitSolverConfig(newton_start="middle")
 
 
 def test_non_finite_rhs_propagates_as_nan():
@@ -279,12 +277,10 @@ def fake_singular_model(h: float, beta: float) -> SdeModel:
 def test_singular_linearization_raises_for_single_states():
     model = fake_singular_model(h=0.1, beta=1.0)
     cfg = ImplicitSolverConfig(mode="newton")
-    with pytest.raises(SolverSingularError):
-        solve_implicit(model, 1.0, 0.1, np.array([0.0]), cfg, step_index=17)
-    try:
-        solve_implicit(model, 1.0, 0.1, np.array([0.0]), cfg, step_index=17)
-    except SolverSingularError as err:
-        assert err.step_index == 17
+    with pytest.raises(SolverSingularError) as excinfo:
+        solve_implicit(model, 1.0, 0.1, np.array([0.0]), cfg)
+    # only an integration loop knows which step failed
+    assert excinfo.value.step_index is None
 
 
 def test_singular_linearization_nans_only_the_bad_batch_rows():
@@ -314,11 +310,9 @@ def test_newton_runs_exactly_k_iterations_without_tolerance():
     assert len(jac_calls) < 5  # quadratic convergence stops this well before K
 
 
-def test_newton_start_selects_the_initial_iterate():
-    cfg_rhs = ImplicitSolverConfig(mode="newton", newton_iterations=1, newton_start="rhs")
-    cfg_prev = ImplicitSolverConfig(mode="newton", newton_iterations=1, newton_start="prev")
+def test_newton_starts_from_the_rhs():
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
     R = np.array([1.0])
-    start = np.array([0.5])
 
     def one_update(x0):
         f = VOL32.drift(x0)
@@ -326,14 +320,8 @@ def test_newton_start_selects_the_initial_iterate():
         phi = x0 - 0.01 * f - R
         return x0 - phi / (1.0 - 0.01 * jf)
 
-    got_rhs = solve_implicit(VOL32, 1.0, 0.01, R, cfg_rhs, x_start=start)
-    got_prev = solve_implicit(VOL32, 1.0, 0.01, R, cfg_prev, x_start=start)
-    assert np.allclose(got_rhs, one_update(R.copy()), rtol=0, atol=1e-16)
-    assert np.allclose(got_prev, one_update(start.copy()), rtol=0, atol=1e-16)
-    assert not np.array_equal(got_rhs, got_prev)
-    # "prev" without a provided starting point falls back to R
-    bare = solve_implicit(VOL32, 1.0, 0.01, R, cfg_prev)
-    assert np.array_equal(bare, got_rhs)
+    got = solve_implicit(VOL32, 1.0, 0.01, R, cfg)
+    assert np.allclose(got, one_update(R.copy()), rtol=0, atol=1e-16)
 
 
 # ------------------------------------------------------------------- steppers
@@ -526,6 +514,22 @@ def test_integrate_reports_the_failing_step_on_singular_solves():
 
 
 @pytest.mark.parametrize(
+    "beta,step",
+    [(1.0, 1), (2.0 / 3.0, 2)],
+    ids=["starter", "recursion"],
+)
+def test_integrate_reports_the_failing_step_of_a_bdf2_newton_solve(beta, step):
+    """The linearization is singular at 0 for the solve with this beta: the
+    drift-implicit Euler starter (beta = 1) or the BDF2 recursion (2/3)."""
+    model = fake_singular_model(h=0.1, beta=beta)
+    grid = TimeGrid(T=1.0, N=10)
+    with pytest.raises(SolverSingularError) as excinfo:
+        integrate(model, BDF2, ImplicitSolverConfig(mode="newton"), grid, zero_table(grid), [0.0])
+    assert excinfo.value.step_index == step
+    assert f"step {step}:" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
     "coeffs",
     [
         SchemeCoefficients(k=1, alpha=(-1.0, 1.0), beta=(0.5, 0.5), gamma=(1.0,)),
@@ -547,7 +551,7 @@ def test_integrate_equals_chained_step_lmm_calls_bitwise(coeffs):
         states.append(step_bem(VOL32, cfg, states[-1], grid.h, dW[j - 1]))
     drifts = [VOL32.drift(x) for x in states]
     for j in range(k, grid.N + 1):
-        x, f = step_lmm(VOL32, cfg, coeffs, states[-k:], drifts[-k:], dW[j - k : j], grid.h, step_index=j)
+        x, f = step_lmm(VOL32, cfg, coeffs, states[-k:], drifts[-k:], dW[j - k : j], grid.h)
         states.append(x)
         drifts.append(f)
     assert np.isfinite(traj.states).all()

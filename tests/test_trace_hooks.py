@@ -39,5 +39,4 @@ def test_harness_steps_take_a_parameter_named_h(attr):
 
 def test_solve_implicit_keeps_its_signature():
     params = inspect.signature(schemes.__dict__["solve_implicit"]).parameters
-    assert list(params) == ["model", "beta", "h", "R", "cfg", "x_start", "step_index"]
-    assert params["x_start"].default is None and params["step_index"].default is None
+    assert list(params) == ["model", "beta", "h", "R", "cfg"]
