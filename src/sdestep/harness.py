@@ -13,9 +13,14 @@ Reproducibility rules baked in here:
 
 * every sample's noise comes from its own counter-based stream keyed by
   ``(base_seed, sample_index)``;
-* samples are processed in fixed contiguous batches whose partial sums
+* samples are reduced in fixed contiguous batches whose partial sums
   are merged in batch order with compensated (Kahan) summation, so the
   output is bitwise identical for any number of worker threads;
+* stepping runs in passes of whole consecutive batches (up to 1024 rows,
+  or one batch if that is larger).  A sample's trajectory depends only
+  on its own noise, so a pass steps its rows together and then reduces
+  each batch's rows on their own: the partials do not depend on how
+  batches are grouped into passes;
 * a sample with anything non-finite in its squared norms counts as
   exploded (exploded = samples - valid) and adds zeros; a table number is
   the largest root-mean-square over the grid points (NaN without a valid
@@ -85,9 +90,11 @@ class ExperimentConfig:
     reference is integrated with ``reference_scheme`` (the two-step method
     by default) using the ``second_init`` starting policy ("bem" advances
     one drift-implicit Euler step, "copy" repeats x0).  ``batch_size``
-    fixes the deterministic sample partitioning and is therefore part of
-    the reproducibility contract; ``threads`` only distributes the fixed
-    batches and never changes results.
+    fixes the partition of the samples into the batches whose partial sums
+    are merged, and is therefore part of the reproducibility contract.
+    Stepping runs in passes of whole consecutive batches (up to 1024 rows,
+    or one batch if that is larger); ``threads`` only distributes the
+    passes, and neither the passes nor ``threads`` change results.
     """
 
     model: SdeModel
@@ -345,18 +352,31 @@ def write_csv(table: ErrorTable, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _map_batches(config: ExperimentConfig, batch_fn) -> list:
-    """``batch_fn(config, lo, hi)`` over the fixed contiguous batches, in batch order.
+#: Rows stepped together in one pass: whole consecutive batches, at most
+#: ``max(batch_size, _PASS_ROWS)`` rows, the size of one default batch.
+_PASS_ROWS = 1024
 
-    ``threads`` only spreads the batches over workers; the partials come
-    back in batch order either way, so merging them is deterministic.
+
+def _map_batches(config: ExperimentConfig, pass_fn) -> list:
+    """Per-batch partials of the fixed contiguous batches, in batch order.
+
+    Consecutive batches are grouped into passes of at most
+    ``max(batch_size, _PASS_ROWS)`` rows; ``pass_fn(config, batches)`` steps
+    the rows of one pass, a list of ``(lo, hi)`` batch ranges, together and
+    returns one partial per batch.  ``threads`` only spreads the passes
+    over workers; the partials come back in batch order either way, so
+    merging them is deterministic.
     """
     n, size = config.samples, config.batch_size
     ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    if config.threads > 1 and len(ranges) > 1:
+    per_pass = max(1, _PASS_ROWS // size)
+    passes = [ranges[i:i + per_pass] for i in range(0, len(ranges), per_pass)]
+    if config.threads > 1 and len(passes) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(lambda r: batch_fn(config, *r), ranges))
-    return [batch_fn(config, *r) for r in ranges]
+            results = list(pool.map(lambda batches: pass_fn(config, batches), passes))
+    else:
+        results = [pass_fn(config, batches) for batches in passes]
+    return [part for parts in results for part in parts]
 
 
 def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
@@ -408,13 +428,17 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     return snapshots, coarse_incs
 
 
-def _study_batch(config: ExperimentConfig, lo: int, hi: int):
-    """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations."""
+def _study_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
+    """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations.
+
+    The reference and every (level, scheme) stepper run once over all rows
+    of the pass; each batch's rows are then reduced on their own.
+    """
     model = config.model
-    B = hi - lo
+    lo, hi = batches[0][0], batches[-1][1]
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
 
-    out = {}
+    out = [{} for _ in batches]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in config.levels:
             h = config.level_grid(n).h
@@ -423,26 +447,28 @@ def _study_batch(config: ExperimentConfig, lo: int, hi: int):
             for scheme in config.schemes:
                 coeffs = SCHEME_COEFFS[scheme]
                 stepper = _Stepper(model, coeffs, config.solver, h, x0, config.second_init)
-                devsq = np.empty((B, n + 1))
+                devsq = np.empty((hi - lo, n + 1))
                 devsq[:, 0] = 0.0
                 for j, dW in enumerate(coarse_incs[n], 1):
                     dev = stepper.advance(dW) - ref_states[:, j, :]
                     devsq[:, j] = np.sum(dev * dev, axis=-1)
-                out[(n, scheme)] = _masked_sums(devsq)
+                for part, (blo, bhi) in zip(out, batches):
+                    part[(n, scheme)] = _masked_sums(devsq[blo - lo:bhi - lo])
     return out
 
 
 def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     """Run the full coupled-reference study and return the error table.
 
-    Samples are split into fixed contiguous batches; each batch integrates
-    its reference and all (level, scheme) combinations against the same
-    coarsened noise, and the per-gridpoint squared deviations are merged
-    across batches with compensated summation in batch order.  The result
-    is a deterministic function of the config alone — thread count only
-    spreads batches over workers.
+    Samples are split into fixed contiguous batches, and consecutive
+    batches are stepped together in passes; each pass integrates its
+    reference and all (level, scheme) combinations against the same
+    coarsened noise.  The per-gridpoint squared deviations are summed per
+    batch and merged across batches with compensated summation in batch
+    order.  The result is a deterministic function of the config alone —
+    thread count only spreads passes over workers.
     """
-    merged = _kahan_merge(_map_batches(config, _study_batch))
+    merged = _kahan_merge(_map_batches(config, _study_pass))
 
     rows = []
     prev: dict[str, tuple[float, float] | None] = {s: None for s in config.schemes}
@@ -534,17 +560,22 @@ def residual_defects(model: SdeModel, states: np.ndarray, increments: np.ndarray
     return one, pair
 
 
-def _residual_batch(config: ExperimentConfig, lo: int, hi: int):
-    """Per-batch partials ``{level: ((one sums, pair sums), valid)}`` of the squared defects."""
+def _residual_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
+    """Per-batch partials ``{level: ((one sums, pair sums), valid)}`` of the squared defects,
+    from one reference pass over all rows of the pass."""
     model = config.model
+    lo, hi = batches[0][0], batches[-1][1]
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
-    out = {}
+    out = [{} for _ in batches]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in config.levels:
             h = config.level_grid(n).h
             increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
             one, pair = residual_defects(model, snapshots[n], increments, h)
-            out[n] = _masked_sums(np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1))
+            one_sq, pair_sq = np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1)
+            for part, (blo, bhi) in zip(out, batches):
+                rows = slice(blo - lo, bhi - lo)
+                part[n] = _masked_sums(one_sq[rows], pair_sq[rows])
     return out
 
 
@@ -561,7 +592,7 @@ def estimate_residuals(config: ExperimentConfig) -> ResidualReport:
             "residual estimation needs at least 100 samples for a stable "
             f"Monte Carlo norm, got {config.samples}"
         )
-    merged = _kahan_merge(_map_batches(config, _residual_batch))
+    merged = _kahan_merge(_map_batches(config, _residual_pass))
 
     bem_max, pair_max, hs = [], [], []
     for n in config.levels:

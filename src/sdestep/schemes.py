@@ -76,8 +76,9 @@ class ImplicitSolverConfig:
     newton_iterations
         Exact number of Newton updates when ``newton_tolerance`` is 0.
     newton_tolerance
-        If positive, iteration stops early once the residual norm
-        ``|x - h*beta*f(x) - R|`` drops to this level everywhere.
+        If positive, a row stops updating once its residual norm
+        ``|x - h*beta*f(x) - R|`` drops to this level, and iteration
+        stops early once every row has.
     enforce_step_bound
         The one switch of the well-posedness bound h*beta*L < 1, checked
         for every implicit solve: the recursion's, the drift-implicit
@@ -156,9 +157,13 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
         a = |R| / (beta*h*lam),  c = (1 - beta*h) / (2*beta*h*lam),
 
     which avoids the catastrophic cancellation of the textbook
-    ``-c + sqrt(c^2 + a)`` expression when ``a`` is tiny.  ``sigma`` is
-    accepted for signature symmetry with the model family but plays no
-    role: the diffusion is handled explicitly by the schemes.
+    ``-c + sqrt(c^2 + a)`` expression when ``a`` is tiny.  When ``c*c``
+    overflows (beta*h*lam below about 1e-154) the root is divided through
+    by ``c``: ``x = sign(R) * q / (1 + sqrt(1 + q/c))`` with
+    ``q = a/c = 2|R| / (1 - beta*h)``.  A ``c`` that is itself infinite
+    (beta*h*lam below about 3e-309) is a ``ValueError`` naming ``h``.
+    ``sigma`` is accepted for signature symmetry with the model family
+    but plays no role: the diffusion is handled explicitly by the schemes.
 
     Works elementwise on arrays; scalar input yields a float.
     """
@@ -166,9 +171,18 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     if not (bh * lam > 0.0):
         raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")
     R = np.asarray(R, dtype=float)
-    c = (1.0 - bh) / (2.0 * bh * lam)
-    a = np.abs(R) / (bh * lam)
-    x = np.sign(R) * (a / (c + np.sqrt(c * c + a)))
+    c = float((1.0 - bh) / (2.0 * bh * lam))
+    if not math.isfinite(c):
+        raise ValueError(
+            f"step size h={h} is too small for the closed-form solve: "
+            f"(1 - beta*h)/(2*beta*h*lam) overflows at beta*h*lam={bh * lam}"
+        )
+    if math.isfinite(c * c):
+        a = np.abs(R) / (bh * lam)
+        x = np.sign(R) * (a / (c + np.sqrt(c * c + a)))
+    else:
+        q = 2.0 * np.abs(R) / (1.0 - bh)
+        x = np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
     return float(x) if x.ndim == 0 else x
 
 
@@ -230,20 +244,27 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
 
 
 def _newton_solve(model: SdeModel, beta: float, h: float, R: np.ndarray, cfg: ImplicitSolverConfig):
-    """Newton iteration for x - h*beta*f(x) = R, started from R."""
+    """Newton iteration for x - h*beta*f(x) = R, started from R.
+
+    With a positive ``newton_tolerance`` a row stops updating once its
+    residual norm is within the tolerance (or not finite), so every row of
+    a batch ends exactly where solving it alone would.
+    """
     m = R.shape[-1]
     bh = beta * h
     eye = np.eye(m)
     x = R.copy()
     for _ in range(cfg.newton_iterations):
         phi = x - bh * model.drift(x) - R
+        working = None
         if cfg.newton_tolerance > 0.0:
             res = np.sqrt(np.sum(phi * phi, axis=-1))
-            still_working = np.isfinite(res) & (res > cfg.newton_tolerance)
-            if not np.any(still_working):
+            working = np.isfinite(res) & (res > cfg.newton_tolerance)
+            if not np.any(working):
                 break
         dphi = eye - bh * model.drift_jacobian(x)
-        x = x - _solve_linear(dphi, phi)
+        step = x - _solve_linear(dphi, phi)
+        x = step if working is None else np.where(working[..., None], step, x)
     return x
 
 

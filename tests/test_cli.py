@@ -267,6 +267,29 @@ def test_closed_form_solver_without_a_closed_form_exits_two(capsys):
     assert "closed-form" in captured.err
 
 
+@pytest.mark.parametrize("solver", ["auto", "newton"])
+def test_a_tiny_horizon_keeps_the_closed_form_path_at_x0(solver, capsys):
+    # h = 2.5e-161: the closed form's c*c overflows, its answer must not
+    rc = main([
+        "simulate", "--model", "vol32", "--horizon", "1e-160", "--steps", "4",
+        "--scheme", "bem", "--solver", solver,
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.split(",")[1] for line in lines[1:]] == ["1"] * 5
+
+
+def test_a_step_too_small_for_the_closed_form_exits_two(capsys):
+    rc = main([
+        "converge", "--model", "vol32", "--horizon", "1e-320", "--levels", "25,50",
+        "--samples", "10", "--ref-steps", "100",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: step size h=")
+
+
 def test_study_commands_share_their_study_options():
     parser = build_parser()
     converge = vars(parser.parse_args(["converge", "--model", "vol32"]))

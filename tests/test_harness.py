@@ -10,6 +10,7 @@ import pytest
 from sdestep import (
     ErrorTable,
     ExperimentConfig,
+    ImplicitSolverConfig,
     SdeModel,
     SeedSpec,
     StepSizeError,
@@ -23,6 +24,7 @@ from sdestep import (
     strong_error,
     write_csv,
 )
+from sdestep import harness
 from sdestep.harness import (
     LevelRow,
     SchemeCell,
@@ -30,7 +32,9 @@ from sdestep.harness import (
     _map_batches,
     _masked_sums,
     _reference_pass,
+    _residual_pass,
     _rms_max,
+    _study_pass,
     estimate_residuals,
     residual_defects,
 )
@@ -210,8 +214,8 @@ def test_engine_evaluates_the_diffusion_once_per_step():
         samples=10, ref_steps=200, base_seed=4, batch_size=5,
     )
     run_convergence_study(cfg)
-    batches = 2
-    assert len(calls) == batches * (cfg.ref_steps + sum(cfg.levels) * len(cfg.schemes))
+    passes = 1  # both batches of 5 are stepped in one pass
+    assert len(calls) == passes * (cfg.ref_steps + sum(cfg.levels) * len(cfg.schemes))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -348,10 +352,73 @@ def test_batch_fan_out_keeps_batch_order_for_any_thread_count():
     serial = ExperimentConfig(**base, threads=1)
     pooled = ExperimentConfig(**base, threads=3)
     ranges = [(0, 32), (32, 64), (64, 96), (96, 100)]
-    assert _map_batches(pooled, lambda config, lo, hi: (lo, hi)) == ranges
-    assert _map_batches(serial, lambda config, lo, hi: (lo, hi)) == ranges
+    assert _map_batches(pooled, lambda config, batches: batches) == ranges
+    assert _map_batches(serial, lambda config, batches: batches) == ranges
     # repr round-trips floats exactly, so equal reprs mean bitwise-equal defects
     assert repr(estimate_residuals(serial)) == repr(estimate_residuals(pooled))
+
+
+def _partial_bytes(partials):
+    return [
+        {key: ([v.tobytes() for v in sums], valid) for key, (sums, valid) in part.items()}
+        for part in partials
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pass_fn", [_study_pass, _residual_pass], ids=["study", "residual"])
+@pytest.mark.parametrize(
+    "model,x0,extra",
+    [
+        (VOL32, (1.0,), {}),
+        (VOL32, (1.0,), {"second_init": "copy"}),
+        (VOL32, (1.0,), {"reference_scheme": "bem"}),
+        (TOY, (5.0, 5.0), {}),
+    ],
+    ids=["vol32", "vol32-copy", "vol32-bem-ref", "toy2d"],
+)
+def test_a_pass_reduces_each_batch_as_if_it_were_stepped_alone(pass_fn, model, x0, extra):
+    cfg = _multi_chunk_config(model, x0, batch_size=4, **extra)
+    batches = [(0, 4), (4, 8), (8, 9)]  # the last batch is ragged
+    fused = pass_fn(cfg, batches)
+    alone = [part for batch in batches for part in pass_fn(cfg, [batch])]
+    assert _partial_bytes(fused) == _partial_bytes(alone)
+    if model is TOY and pass_fn is _study_pass:
+        # explicit Euler explodes in every row at N=25 and in some rows of each batch at N=50
+        assert [part[(25, "eulm")][1] for part in fused] == [0, 0, 0]
+        assert [part[(50, "eulm")][1] for part in fused] == [3, 2, 1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_studies_over_several_passes_keep_their_output_for_any_thread_count(monkeypatch):
+    base = dict(
+        model=TOY, x0=(2.0, 3.0), levels=(25, 50), samples=30, ref_steps=400,
+        base_seed=8, batch_size=4,
+    )
+    cfg = ExperimentConfig(**base)
+    # repr round-trips floats exactly, so equal reprs mean bitwise-equal results
+    one_pass = repr(run_convergence_study(cfg))
+    one_pass_defects = repr(estimate_residuals(dataclasses.replace(cfg, samples=100)))
+    monkeypatch.setattr(harness, "_PASS_ROWS", 8)  # two batches per pass
+    grouped = _map_batches(cfg, lambda config, batches: [batches])
+    assert grouped == [[(lo, lo + 4), (lo + 4, min(lo + 8, 30))] for lo in range(0, 30, 8)]
+    for threads in (1, 3):
+        cfg = dataclasses.replace(cfg, threads=threads)
+        assert repr(run_convergence_study(cfg)) == one_pass
+        assert repr(estimate_residuals(dataclasses.replace(cfg, samples=100))) == one_pass_defects
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-6])
+def test_newton_tolerance_studies_do_not_depend_on_how_batches_are_fused(monkeypatch, tolerance):
+    _, toy_sigma1 = make_model("toy2d", 96.0, 1.0)
+    cfg = ExperimentConfig(
+        model=toy_sigma1, x0=(2.0, 3.0), levels=(25, 50, 100), ref_steps=400, samples=32,
+        base_seed=77, batch_size=16, solver=ImplicitSolverConfig(newton_tolerance=tolerance),
+    )
+    fused = repr(run_convergence_study(cfg))
+    monkeypatch.setattr(harness, "_PASS_ROWS", 1)  # one pass per batch
+    assert repr(run_convergence_study(cfg)) == fused
 
 
 def test_explosion_accounting_for_explicit_stepping():

@@ -176,6 +176,23 @@ def test_closed_form_32vol_validation_and_array_shapes():
     assert isinstance(closed_form_32vol(4.0, 1.0, 1.0, 0.01, 1.0), float)
 
 
+@pytest.mark.parametrize("h", [1e-156, 1e-200])
+def test_closed_form_32vol_where_c_squared_overflows_agrees_with_newton(h):
+    # c = (1 - beta*h) / (2*beta*h*lam) is finite but c*c is not
+    newton = ImplicitSolverConfig(mode="newton")
+    for R in (1.0, -2.5, 1e-300, 0.3, 1e10):
+        x = closed_form_32vol(4.0, 1.0, 1.0, h, R)
+        assert isinstance(x, float)
+        assert x == pytest.approx(solve_implicit(VOL32, 1.0, h, np.array([R]), newton)[0], rel=1e-15)
+    R = np.array([[1.0], [-2.5], [0.0]])
+    assert np.array_equal(closed_form_32vol(4.0, 1.0, 1.0, h, R), R)
+
+
+def test_closed_form_32vol_names_a_step_too_small_for_its_formula():
+    with pytest.raises(ValueError, match=r"h=1e-320\b"):
+        closed_form_32vol(4.0, 1.0, 1.0, 1e-320, 1.0)
+
+
 # -------------------------------------------------------------- solve_implicit
 
 
@@ -308,6 +325,24 @@ def test_newton_runs_exactly_k_iterations_without_tolerance():
     early = ImplicitSolverConfig(mode="newton", newton_iterations=5, newton_tolerance=1e-8)
     solve_implicit(counted, 1.0, 0.01, np.array([1.0]), early)
     assert len(jac_calls) < 5  # quadratic convergence stops this well before K
+
+
+def test_batched_newton_with_a_tolerance_solves_each_row_as_if_alone():
+    # rows converge after different numbers of updates; none may move after that
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=8, newton_tolerance=1e-6)
+    rng = np.random.default_rng(3)
+    R = rng.uniform(-30.0, 30.0, size=(64, 2))
+    R[0] = (1e-9, -1e-9)  # within the tolerance at the start
+    R[1] = (np.inf, 0.0)  # non-finite row
+    batched = solve_implicit(TOY, 1.0, 0.004, R, cfg)
+    for i in range(len(R)):
+        alone = solve_implicit(TOY, 1.0, 0.004, R[i], cfg)
+        assert batched[i].tobytes() == alone.tobytes(), i
+    scalar = ImplicitSolverConfig(mode="newton", newton_iterations=8, newton_tolerance=1e-9)
+    R1 = rng.uniform(-5.0, 5.0, size=(32, 1))
+    batched = solve_implicit(VOL32, 1.0, 0.01, R1, scalar)
+    for i in range(len(R1)):
+        assert batched[i].tobytes() == solve_implicit(VOL32, 1.0, 0.01, R1[i], scalar).tobytes()
 
 
 def test_newton_starts_from_the_rhs():
