@@ -74,11 +74,8 @@ class ImplicitSolverConfig:
         provides one and newton otherwise.  Newton always starts from R
         itself, the Euler-style predictor already in hand.
     newton_iterations
-        Exact number of Newton updates when ``newton_tolerance`` is 0.
-    newton_tolerance
-        If positive, a row stops updating once its residual norm
-        ``|x - h*beta*f(x) - R|`` drops to this level, and iteration
-        stops early once every row has.
+        Exact number of Newton updates; there is no early exit, so every
+        row of a batch ends where solving it alone would.
     enforce_step_bound
         The one switch of the well-posedness bound h*beta*L < 1, checked
         for every implicit solve: the recursion's, the drift-implicit
@@ -90,7 +87,6 @@ class ImplicitSolverConfig:
 
     mode: str = "auto"
     newton_iterations: int = 5
-    newton_tolerance: float = 0.0
     enforce_step_bound: bool = True
 
     def __post_init__(self) -> None:
@@ -98,8 +94,6 @@ class ImplicitSolverConfig:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.newton_iterations < 1:
             raise ValueError("newton_iterations must be >= 1")
-        if self.newton_tolerance < 0.0:
-            raise ValueError("newton_tolerance must be >= 0")
 
 
 def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -> None:
@@ -187,84 +181,47 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
 
 
 def _solve_linear(A: np.ndarray, b: np.ndarray):
-    """Solve A x = b for (..., m, m) systems with a hard singularity floor.
+    """Solve A x = b for one (m, m) system or a (..., m, m) batch.
 
-    Scalar and 2x2 systems are inverted in closed form; larger systems go
-    through partial-pivot LU (numpy).  A pivot/determinant magnitude below
-    1e-14 raises :class:`SolverSingularError` for single systems; in
-    batched calls the offending rows come back as NaN so that one bad
-    sample cannot abort its whole batch (the harness counts it as
-    exploded).
+    Each size has one body for any leading shape: m = 1 divides, m = 2
+    applies the adjugate and larger m goes through partial-pivot LU
+    (numpy).  One check follows the determinant: a magnitude below 1e-14
+    raises :class:`SolverSingularError` for a single system (``b`` of
+    shape ``(m,)``); in a batch the offending rows come back NaN, without
+    a warning, so that one bad sample cannot abort its whole batch (the
+    harness counts it as exploded).
     """
     m = A.shape[-1]
-    single = b.ndim == 1
     if m == 1:
         det = A[..., 0, 0]
-        bad = np.abs(det) < _SINGULAR_TOL
-        if single:
-            if bad:
-                raise SolverSingularError(
-                    f"singular Newton linearization (|diag|={abs(float(det)):.3e})"
-                )
-            return b / det
-        out = np.empty_like(b)
-        np.divide(b, det[..., None], out=out, where=~bad[..., None])
-        out[bad] = np.nan
-        return out
-    if m == 2:
-        a11 = A[..., 0, 0]
-        a12 = A[..., 0, 1]
-        a21 = A[..., 1, 0]
-        a22 = A[..., 1, 1]
+    elif m == 2:
+        a11, a12, a21, a22 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
         det = a11 * a22 - a12 * a21
-        bad = np.abs(det) < _SINGULAR_TOL
-        if single and bad:
-            raise SolverSingularError(
-                f"singular Newton linearization (|det|={abs(float(det)):.3e})"
-            )
+    else:
+        det = np.linalg.det(A)
+    bad = np.abs(det) < _SINGULAR_TOL
+    if bad.any():
+        if b.ndim == 1:
+            raise SolverSingularError(f"singular Newton linearization (|det|={abs(float(det)):.3e})")
+        # a bad row gets a NaN right-hand side (and, for LU, the identity): it solves to NaN
+        b = np.where(bad[..., None], np.nan, b)
+        A = np.where(bad[..., None, None], np.eye(m), A)
+    if m == 1:
+        return b / det[..., None]
+    if m == 2:
         x1 = (a22 * b[..., 0] - a12 * b[..., 1]) / det
         x2 = (a11 * b[..., 1] - a21 * b[..., 0]) / det
-        out = np.stack([x1, x2], axis=-1)
-        if not single:
-            out[bad] = np.nan
-        return out
-    det = np.linalg.det(A)
-    bad = np.abs(det) < _SINGULAR_TOL
-    if single:
-        if bad:
-            raise SolverSingularError(
-                f"singular Newton linearization (|det|={abs(float(det)):.3e})"
-            )
-        return np.linalg.solve(A, b)
-    if np.any(bad):
-        A = np.where(bad[..., None, None], np.eye(m), A)
-    out = np.linalg.solve(A, b)
-    out[bad] = np.nan
-    return out
+        return np.stack([x1, x2], axis=-1)
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
 
-def _newton_solve(model: SdeModel, beta: float, h: float, R: np.ndarray, cfg: ImplicitSolverConfig):
-    """Newton iteration for x - h*beta*f(x) = R, started from R.
-
-    With a positive ``newton_tolerance`` a row stops updating once its
-    residual norm is within the tolerance (or not finite), so every row of
-    a batch ends exactly where solving it alone would.
-    """
-    m = R.shape[-1]
-    bh = beta * h
-    eye = np.eye(m)
-    x = R.copy()
-    for _ in range(cfg.newton_iterations):
+def _newton_solve(model: SdeModel, bh: float, iterations: int, R: np.ndarray):
+    """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R."""
+    eye = np.eye(R.shape[-1])
+    x = R
+    for _ in range(iterations):
         phi = x - bh * model.drift(x) - R
-        working = None
-        if cfg.newton_tolerance > 0.0:
-            res = np.sqrt(np.sum(phi * phi, axis=-1))
-            working = np.isfinite(res) & (res > cfg.newton_tolerance)
-            if not np.any(working):
-                break
-        dphi = eye - bh * model.drift_jacobian(x)
-        step = x - _solve_linear(dphi, phi)
-        x = step if working is None else np.where(working[..., None], step, x)
+        x = x - _solve_linear(eye - bh * model.drift_jacobian(x), phi)
     return x
 
 
@@ -300,7 +257,7 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
     elif model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
     else:
-        core = partial(_newton_solve, model, beta, h, cfg=cfg)
+        core = partial(_newton_solve, model, beta * h, cfg.newton_iterations)
 
     def solve(R: np.ndarray) -> np.ndarray:
         if np.isfinite(R).all():

@@ -205,7 +205,7 @@ def test_criterion_07_implicit_solver_contracts():
         failures.append(f"closed-form residual {worst:.3g} > 1e-12")
 
     _, toy = make_model("toy2d", 96.0, 0.47)
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=5, newton_tolerance=0.0)
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=5)
     worst = 0.0
     for _ in range(1000):
         hh = rng.uniform(1e-3, 0.5)

@@ -10,7 +10,6 @@ import pytest
 from sdestep import (
     ErrorTable,
     ExperimentConfig,
-    ImplicitSolverConfig,
     SdeModel,
     SeedSpec,
     StepSizeError,
@@ -406,19 +405,6 @@ def test_studies_over_several_passes_keep_their_output_for_any_thread_count(monk
         cfg = dataclasses.replace(cfg, threads=threads)
         assert repr(run_convergence_study(cfg)) == one_pass
         assert repr(estimate_residuals(dataclasses.replace(cfg, samples=100))) == one_pass_defects
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tolerance", [1e-12, 1e-6])
-def test_newton_tolerance_studies_do_not_depend_on_how_batches_are_fused(monkeypatch, tolerance):
-    _, toy_sigma1 = make_model("toy2d", 96.0, 1.0)
-    cfg = ExperimentConfig(
-        model=toy_sigma1, x0=(2.0, 3.0), levels=(25, 50, 100), ref_steps=400, samples=32,
-        base_seed=77, batch_size=16, solver=ImplicitSolverConfig(newton_tolerance=tolerance),
-    )
-    fused = repr(run_convergence_study(cfg))
-    monkeypatch.setattr(harness, "_PASS_ROWS", 1)  # one pass per batch
-    assert repr(run_convergence_study(cfg)) == fused
 
 
 def test_explosion_accounting_for_explicit_stepping():

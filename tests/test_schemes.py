@@ -1,5 +1,6 @@
 """Unit tests for the steppers, the implicit solvers, and trajectory integration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from sdestep import (
     BACKWARD_EULER,
     BDF2,
     EXPLICIT_EULER,
+    ExperimentConfig,
     ImplicitSolverConfig,
     SchemeCoefficients,
     SdeModel,
@@ -20,6 +22,7 @@ from sdestep import (
     generate_increments,
     integrate,
     make_model,
+    run_convergence_study,
     solve_implicit,
     step_bdf2,
     step_bem,
@@ -30,6 +33,18 @@ from sdestep.brownian import IncrementTable
 
 VOL32_PARAMS, VOL32 = make_model("vol32", 4.0, 1.0)
 TOY_PARAMS, TOY = make_model("toy2d", 96.0, 0.47)
+SPD_A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+# f(x) = -A x with A symmetric positive definite (so x @ A is A x row by row), noise 0.5*I
+SPD3 = SdeModel(
+    state_dim=3,
+    noise_dim=3,
+    drift=lambda x: -(x @ SPD_A),
+    diffusion=lambda x: 0.5 * np.broadcast_to(np.eye(3), x.shape + (3,)),
+    drift_jacobian=lambda x: -np.broadcast_to(SPD_A, x.shape + (3,)),
+    L=1.0,
+    eta=1.0,
+    q=1.0,
+)
 
 
 def residual(model, beta, h, x, R):
@@ -268,46 +283,52 @@ def test_non_finite_rhs_propagates_as_nan():
         assert np.array_equal(out[i], row)
 
 
-def fake_singular_model(h: float, beta: float) -> SdeModel:
-    """A model whose reported Jacobian makes DPhi exactly singular at x = 0."""
-    val = 1.0 / (h * beta)
+def singular_at_origin(model: SdeModel, bh: float) -> SdeModel:
+    """``model`` with its Jacobian set to I/bh at x = 0, where DPhi = I - bh*J is then singular."""
+    eye = np.eye(model.state_dim)
 
     def jac(x):
-        flat = np.asarray(x, dtype=float)
-        at_zero = np.all(flat == 0.0, axis=-1)
-        out = np.zeros(flat.shape + (1,))
-        out[..., 0, 0] = np.where(at_zero, val, 0.0)
-        return out
+        at_zero = np.all(np.asarray(x) == 0.0, axis=-1)[..., None, None]
+        return np.where(at_zero, eye / bh, model.drift_jacobian(x))
 
-    return SdeModel(
-        state_dim=1,
+    return replace(model, drift_jacobian=jac)
+
+
+def fake_singular_model(h: float, beta: float, state_dim: int = 1) -> SdeModel:
+    """A zero-drift model whose reported Jacobian makes DPhi exactly singular at x = 0."""
+    zero = SdeModel(
+        state_dim=state_dim,
         noise_dim=1,
         drift=lambda x: 0.0 * x,
         diffusion=lambda x: np.zeros(x.shape + (1,)),
-        drift_jacobian=jac,
+        drift_jacobian=lambda x: np.zeros(x.shape + (state_dim,)),
         L=1.0,
         eta=1.0,
         q=1.0,
     )
+    return singular_at_origin(zero, h * beta)
 
 
 def test_singular_linearization_raises_for_single_states():
-    model = fake_singular_model(h=0.1, beta=1.0)
     cfg = ImplicitSolverConfig(mode="newton")
-    with pytest.raises(SolverSingularError) as excinfo:
-        solve_implicit(model, 1.0, 0.1, np.array([0.0]), cfg)
-    # only an integration loop knows which step failed
-    assert excinfo.value.step_index is None
+    for m in (1, 2, 3):  # division, adjugate and LU
+        model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
+        with pytest.raises(SolverSingularError, match=r"\|det\|=") as excinfo:
+            solve_implicit(model, 1.0, 0.1, np.zeros(m), cfg)
+        # only an integration loop knows which step failed
+        assert excinfo.value.step_index is None
 
 
 def test_singular_linearization_nans_only_the_bad_batch_rows():
-    model = fake_singular_model(h=0.1, beta=1.0)
     cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
-    batch = np.array([[0.0], [2.0]])  # row 0 starts at the singular point
-    out = solve_implicit(model, 1.0, 0.1, batch, cfg)
-    assert np.isnan(out[0]).all()
-    assert np.all(np.isfinite(out[1]))
-    assert out[1, 0] == 2.0  # zero drift: the solution is R itself
+    for m in (1, 2, 3):  # division, adjugate and LU
+        model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
+        batch = np.array([[0.0] * m, [2.0] * m])  # row 0 starts at the singular point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a bad row is data, not a floating-point warning
+            out = solve_implicit(model, 1.0, 0.1, batch, cfg)
+        assert np.isnan(out[0]).all()
+        assert np.all(out[1] == 2.0)  # zero drift: the solution is R itself
 
 
 def test_newton_runs_exactly_k_iterations_without_tolerance():
@@ -317,32 +338,46 @@ def test_newton_runs_exactly_k_iterations_without_tolerance():
         closed_form_implicit=None,
         drift_jacobian=lambda x: (jac_calls.append(1) or VOL32.drift_jacobian(x)),
     )
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=5, newton_tolerance=0.0)
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=5)
     solve_implicit(counted, 1.0, 0.01, np.array([1.0]), cfg)
     assert len(jac_calls) == 5
 
-    jac_calls.clear()
-    early = ImplicitSolverConfig(mode="newton", newton_iterations=5, newton_tolerance=1e-8)
-    solve_implicit(counted, 1.0, 0.01, np.array([1.0]), early)
-    assert len(jac_calls) < 5  # quadratic convergence stops this well before K
 
-
-def test_batched_newton_with_a_tolerance_solves_each_row_as_if_alone():
-    # rows converge after different numbers of updates; none may move after that
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=8, newton_tolerance=1e-6)
+def test_batched_newton_solves_each_row_as_if_alone():
+    # every row gets exactly K updates, so its bits never depend on its batch-mates
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=8)
     rng = np.random.default_rng(3)
-    R = rng.uniform(-30.0, 30.0, size=(64, 2))
-    R[0] = (1e-9, -1e-9)  # within the tolerance at the start
-    R[1] = (np.inf, 0.0)  # non-finite row
-    batched = solve_implicit(TOY, 1.0, 0.004, R, cfg)
-    for i in range(len(R)):
-        alone = solve_implicit(TOY, 1.0, 0.004, R[i], cfg)
-        assert batched[i].tobytes() == alone.tobytes(), i
-    scalar = ImplicitSolverConfig(mode="newton", newton_iterations=8, newton_tolerance=1e-9)
-    R1 = rng.uniform(-5.0, 5.0, size=(32, 1))
-    batched = solve_implicit(VOL32, 1.0, 0.01, R1, scalar)
-    for i in range(len(R1)):
-        assert batched[i].tobytes() == solve_implicit(VOL32, 1.0, 0.01, R1[i], scalar).tobytes()
+    for model, h, scale in ((VOL32, 0.01, 5.0), (TOY, 0.004, 30.0), (SPD3, 0.04, 3.0)):
+        model = singular_at_origin(model, h)
+        R = rng.uniform(-scale, scale, size=(32, model.state_dim))
+        R[0] = np.inf  # non-finite row
+        R[1] = 0.0  # singular row: NaN in the batch, an error alone
+        batched = solve_implicit(model, 1.0, h, R, cfg)
+        assert batched.shape == R.shape and np.isnan(batched[1]).all()
+        with pytest.raises(SolverSingularError):
+            solve_implicit(model, 1.0, h, R[1], cfg)
+        for i in [0, *range(2, len(R))]:
+            alone = solve_implicit(model, 1.0, h, R[i], cfg)
+            assert batched[i].tobytes() == alone.tobytes(), (model.state_dim, i)
+
+
+def test_newton_solves_a_three_dimensional_linear_model():
+    beta, h = 2.0 / 3.0, 0.04
+    R = np.random.default_rng(4).uniform(-3.0, 3.0, size=(5, 3))
+    direct = np.linalg.solve(np.eye(3) + beta * h * SPD_A, R.T).T
+    for rows in (3, 5):  # B = m and B != m both once tripped the batched LU
+        got = solve_implicit(SPD3, beta, h, R[:rows], ImplicitSolverConfig())
+        assert got.shape == (rows, 3)
+        assert np.max(np.abs(got - direct[:rows])) <= 1e-14
+    table = run_convergence_study(
+        ExperimentConfig(
+            model=SPD3, x0=(1.0, -0.5, 2.0), schemes=("bem", "bdf2"), levels=(25, 50),
+            samples=8, ref_steps=400, base_seed=9,
+        )
+    )
+    for n in (25, 50):
+        for scheme in ("bem", "bdf2"):
+            assert np.isfinite(table.cell(n, scheme).error)
 
 
 def test_newton_starts_from_the_rhs():
