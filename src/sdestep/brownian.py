@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, _require_count
 
 __all__ = [
     "SeedSpec",
@@ -38,14 +38,15 @@ class SeedSpec:
     sample_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.base_seed < 2**64):
-            raise ValueError(f"base_seed must fit in 64 bits, got {self.base_seed}")
-        if self.sample_index < 0:
-            raise ValueError(f"sample_index must be >= 0, got {self.sample_index}")
+        _require_count(0, base_seed=self.base_seed, sample_index=self.sample_index)
+        if not (self.base_seed < 2**64 and self.sample_index < 2**64):
+            raise ValueError(f"base_seed and sample_index must fit in 64 bits, got {self}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this sample's stream."""
-        return np.random.Generator(np.random.Philox(key=[self.base_seed, self.sample_index]))
+        # an explicit uint64 key: a plain list above 2**63 goes through float64 and aliases seeds
+        key = np.array([self.base_seed, self.sample_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ class IncrementTable:
     increments: np.ndarray  # shape (N, d)
 
     def __post_init__(self) -> None:
-        if self.noise_dim < 1:
-            raise ValueError(f"noise_dim must be >= 1, got {self.noise_dim}")
+        _require_count(1, noise_dim=self.noise_dim)
         inc = np.asarray(self.increments, dtype=float)
         if inc.shape != (self.grid.N, self.noise_dim):
             raise ValueError(
@@ -82,8 +82,7 @@ def generate_increments(grid: TimeGrid, noise_dim: int, seed: SeedSpec) -> Incre
     stream, so the result depends only on ``(grid, noise_dim, seed)`` and
     never on how many other samples are being generated concurrently.
     """
-    if noise_dim < 1:
-        raise ValueError(f"noise_dim must be >= 1, got {noise_dim}")
+    _require_count(1, noise_dim=noise_dim)
     rng = seed.generator()
     inc = rng.standard_normal((grid.N, noise_dim)) * np.sqrt(grid.h)
     return IncrementTable(grid=grid, noise_dim=noise_dim, increments=inc)
@@ -98,8 +97,7 @@ def coarsen(table: IncrementTable, factor: int) -> IncrementTable:
     ``factor`` must divide the fine step count; ``factor == 1`` returns an
     identical table.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
+    _require_count(1, factor=factor)
     fine = table.grid
     if fine.N % factor != 0:
         raise ValueError(f"factor {factor} does not divide N={fine.N}")

@@ -10,6 +10,7 @@ schemes live here as well because they are pure vector arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,8 +40,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.T > 0.0 and np.isfinite(self.T)):
             raise ValueError(f"horizon must be a positive finite real, got {self.T}")
-        if self.N < 1:
-            raise ValueError(f"need at least one step, got N={self.N}")
+        _require_count(1, N=self.N)
 
     @property
     def h(self) -> float:
@@ -58,11 +58,15 @@ def _require_positive_finite(**values: float) -> None:
             raise ValueError(f"{name} must be a positive finite real, got {value}")
 
 
-def _require_non_negative(**counts: int) -> None:
-    """Reject the first count that is negative, naming it."""
+def _require_count(minimum: int, **counts: int) -> None:
+    """Reject the first count that is not an integer >= ``minimum`` (numpy ints pass), naming it."""
     for name, count in counts.items():
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
+        try:
+            operator.index(count)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if count < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ class SdeModel:
     q: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.state_dim < 1 or self.noise_dim < 1:
-            raise ValueError("state_dim and noise_dim must be positive")
+        _require_count(1, state_dim=self.state_dim, noise_dim=self.noise_dim)
         _require_positive_finite(L=self.L, eta=self.eta)
         if not (self.q >= 1.0 and np.isfinite(self.q)):
             raise ValueError(f"q must be a finite growth exponent >= 1, got {self.q}")
@@ -148,8 +151,7 @@ class SchemeCoefficients:
     gamma: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"step number k must be >= 1, got {self.k}")
+        _require_count(1, k=self.k)
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(c) for c in self.gamma))

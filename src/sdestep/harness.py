@@ -46,6 +46,7 @@ from .core import (
     GridFunction,
     SdeModel,
     TimeGrid,
+    _require_count,
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
@@ -114,6 +115,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
         object.__setattr__(self, "schemes", tuple(self.schemes))
+        for n in self.levels:
+            _require_count(1, levels=n)
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
         if len(self.x0) != self.model.state_dim:
             raise ValueError(
@@ -132,8 +135,9 @@ class ExperimentConfig:
             raise ValueError("schemes must be unique")
         if not self.levels:
             raise ValueError("need at least one level")
-        if any(n < 1 for n in self.levels):
-            raise ValueError("levels must be positive step counts")
+        _require_count(1, ref_steps=self.ref_steps, samples=self.samples, threads=self.threads,
+                       batch_size=self.batch_size)
+        _require_count(0, base_seed=self.base_seed)
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly ascending")
         if self.ref_steps < max(self.levels):
@@ -141,14 +145,8 @@ class ExperimentConfig:
         for n in self.levels:
             if self.ref_steps % n != 0:
                 raise ValueError(f"ref_steps={self.ref_steps} not divisible by level N={n}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not (0 <= self.base_seed < 2**64):
+        if not self.base_seed < 2**64:
             raise ValueError("base_seed must fit in 64 bits")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.second_init not in ("bem", "copy"):
             raise ValueError(f"second_init must be 'bem' or 'copy', got {self.second_init!r}")
         if self.reference_scheme not in ("bem", "bdf2"):
@@ -252,8 +250,7 @@ def strong_error(
     """
     if scheme not in SCHEME_COEFFS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _require_count(1, n_steps=n_steps)
     if config.ref_steps % n_steps != 0:
         raise ValueError(f"level N={n_steps} does not divide ref_steps={config.ref_steps}")
     factor = config.ref_steps // n_steps

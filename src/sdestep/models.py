@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SdeModel, _require_non_negative, _require_positive_finite
+from .core import SdeModel, _require_count, _require_positive_finite
 from .schemes import closed_form_32vol
 
 __all__ = [
@@ -122,6 +122,10 @@ class ToyCubic2D:
     eigenvalue lam, so large lam damps the difference of the two
     components on a fast time scale.  Coercivity with q = 3 requires
     sigma < sqrt(2)/3; that is the in-theory regime.
+
+    Drift, diffusion and Jacobian take the whole ``(..., 2)`` array at once
+    (A x reads ``x[..., ::-1]``), as Newton calls them on every update, and
+    keep the floating-point expressions (so the bits) of the componentwise forms.
     """
 
     lam: float
@@ -148,31 +152,23 @@ class ToyCubic2D:
         return 0.5 * np.array([[1.0 + lam, 1.0 - lam], [1.0 - lam, 1.0 + lam]])
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        x1 = x[..., 0]
-        x2 = x[..., 1]
         a_diag = 0.5 * (1.0 + self.lam)
         a_off = 0.5 * (1.0 - self.lam)
-        f1 = x1 - x1**3 - (a_diag * x1 + a_off * x2)
-        f2 = x2 - x2**3 - (a_off * x1 + a_diag * x2)
-        return np.stack([f1, f2], axis=-1)
+        # x**3 stays a pow call (libm or SIMD): x*x*x rounds differently and would move every pin
+        return x - x**3 - (a_diag * x + a_off * x[..., ::-1])
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape + (2,), dtype=float)
-        out[..., 0, 0] = self.sigma * x[..., 0] ** 2
-        out[..., 1, 1] = self.sigma * x[..., 1] ** 2
-        return out
+        out = np.zeros(x.shape[:-1] + (4,), dtype=float)
+        out[..., ::3] = self.sigma * x**2
+        return out.reshape(x.shape + (2,))
 
     def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
-        x1 = x[..., 0]
-        x2 = x[..., 1]
         a_diag = 0.5 * (1.0 + self.lam)
         a_off = 0.5 * (1.0 - self.lam)
-        out = np.empty(x.shape + (2,), dtype=float)
-        out[..., 0, 0] = 1.0 - 3.0 * x1**2 - a_diag
-        out[..., 0, 1] = -a_off
-        out[..., 1, 0] = -a_off
-        out[..., 1, 1] = 1.0 - 3.0 * x2**2 - a_diag
-        return out
+        out = np.empty(x.shape[:-1] + (4,), dtype=float)
+        out[..., 1:3] = -a_off
+        out[..., ::3] = 1.0 - 3.0 * x**2 - a_diag
+        return out.reshape(x.shape + (2,))
 
     def as_sde_model(self) -> SdeModel:
         return SdeModel(
@@ -328,7 +324,7 @@ def check_monotonicity(
     even though the formula itself would evaluate fine.
     """
     _require_positive_finite(L=L, box=box, eta=eta)
-    _require_non_negative(n_pairs=n_pairs)
+    _require_count(0, n_pairs=n_pairs)
     if not (eta > 0.5):
         raise ValueError(f"monotonicity weight eta must exceed 1/2, got {eta}")
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
@@ -357,7 +353,7 @@ def check_coercivity(
     over the deterministic lattice plus ``n_points`` seeded uniform states.
     """
     _require_positive_finite(L=L, box=box)
-    _require_non_negative(n_points=n_points)
+    _require_count(0, n_points=n_points)
     x = _point_set(box, state_dim, n_points, seed)
     fx = f(x)
     gx = g(x)
@@ -381,7 +377,7 @@ def check_local_lipschitz_f(
         |f(x1) - f(x2)|  <=  L (1 + |x1|^{q-1} + |x2|^{q-1}) |x1 - x2|.
     """
     _require_positive_finite(L=L, box=box)
-    _require_non_negative(n_pairs=n_pairs)
+    _require_count(0, n_pairs=n_pairs)
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
     df = f(x1) - f(x2)
     dx = x1 - x2

@@ -29,6 +29,7 @@ from functools import partial
 import numpy as np
 
 from .core import BACKWARD_EULER, BDF2, GridFunction, SchemeCoefficients, SdeModel, TimeGrid
+from .core import _require_count
 from .brownian import IncrementTable
 
 __all__ = [
@@ -92,8 +93,7 @@ class ImplicitSolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("auto", "closed_form", "newton"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.newton_iterations < 1:
-            raise ValueError("newton_iterations must be >= 1")
+        _require_count(1, newton_iterations=self.newton_iterations)
 
 
 def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -> None:
@@ -184,9 +184,10 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
     """Solve A x = b for one (m, m) system or a (..., m, m) batch.
 
     Each size has one body for any leading shape: m = 1 divides, m = 2
-    applies the adjugate and larger m goes through partial-pivot LU
-    (numpy).  One check follows the determinant: a magnitude below 1e-14
-    raises :class:`SolverSingularError` for a single system (``b`` of
+    applies the adjugate, written by component into one preallocated
+    array, and larger m goes through partial-pivot LU (numpy).  One check
+    follows the determinant: a magnitude below 1e-14 raises
+    :class:`SolverSingularError` for a single system (``b`` of
     shape ``(m,)``); in a batch the offending rows come back NaN, without
     a warning, so that one bad sample cannot abort its whole batch (the
     harness counts it as exploded).
@@ -209,19 +210,23 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
     if m == 1:
         return b / det[..., None]
     if m == 2:
-        x1 = (a22 * b[..., 0] - a12 * b[..., 1]) / det
-        x2 = (a11 * b[..., 1] - a21 * b[..., 0]) / det
-        return np.stack([x1, x2], axis=-1)
+        x = np.empty(b.shape)
+        x[..., 0] = (a22 * b[..., 0] - a12 * b[..., 1]) / det
+        x[..., 1] = (a11 * b[..., 1] - a21 * b[..., 0]) / det
+        return x
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
-def _newton_solve(model: SdeModel, bh: float, iterations: int, R: np.ndarray):
-    """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R."""
-    eye = np.eye(R.shape[-1])
+def _newton_solve(drift, jacobian, eye: np.ndarray, bh: float, iterations: int, R: np.ndarray):
+    """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R.
+
+    :func:`_solve_core` binds f, its Jacobian and the identity once.  Each update
+    makes one call of each and of :func:`_solve_linear`: most of a Newton study's time.
+    """
     x = R
     for _ in range(iterations):
-        phi = x - bh * model.drift(x) - R
-        x = x - _solve_linear(eye - bh * model.drift_jacobian(x), phi)
+        phi = x - bh * drift(x) - R
+        x = x - _solve_linear(eye - bh * jacobian(x), phi)
     return x
 
 
@@ -257,7 +262,8 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
     elif model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
     else:
-        core = partial(_newton_solve, model, beta * h, cfg.newton_iterations)
+        core = partial(_newton_solve, model.drift, model.drift_jacobian,
+                       np.eye(model.state_dim), beta * h, cfg.newton_iterations)
 
     def solve(R: np.ndarray) -> np.ndarray:
         if np.isfinite(R).all():

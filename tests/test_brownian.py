@@ -17,6 +17,43 @@ def test_seed_spec_validation():
         SeedSpec(base_seed=2**64)
     with pytest.raises(ValueError):
         SeedSpec(base_seed=0, sample_index=-1)
+    with pytest.raises(ValueError, match="must fit in 64 bits"):
+        SeedSpec(base_seed=0, sample_index=2**64)
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan")])
+@pytest.mark.parametrize("field", ["base_seed", "sample_index"])
+def test_seed_spec_rejects_non_integers_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        SeedSpec(**dict(dict(base_seed=1, sample_index=0), **{field: value}))
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan")])
+def test_dimensions_and_factors_must_be_integers(value):
+    grid = TimeGrid(T=1.0, N=4)
+    table = IncrementTable(grid=grid, noise_dim=1, increments=np.zeros((4, 1)))
+    calls = {
+        "noise_dim": [
+            lambda v: IncrementTable(grid=grid, noise_dim=v, increments=np.zeros((4, 1))),
+            lambda v: generate_increments(grid, v, SeedSpec(1)),
+        ],
+        "factor": [lambda v: coarsen(table, v)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+                fn(value)
+
+
+def test_seeds_above_two_to_the_63_keep_their_own_stream():
+    # a plain-list Philox key went through float64 there: 2**64 - 2 became seed 0
+    for seed in (2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1):
+        key = SeedSpec(seed, 3).generator().bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [seed, 3]
+    first = [SeedSpec(s, 0).generator().standard_normal() for s in (0, 2**63, 2**63 + 1, 2**64 - 2)]
+    assert len(set(first)) == 4
+    numpy_ints = SeedSpec(np.uint64(2**64 - 1), np.int64(3)).generator().standard_normal(4)
+    assert np.array_equal(numpy_ints, SeedSpec(2**64 - 1, 3).generator().standard_normal(4))
 
 
 def test_generation_is_deterministic_and_streams_are_distinct():

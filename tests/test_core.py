@@ -31,7 +31,9 @@ def test_time_grid_step_and_points():
     assert abs(odd.h * odd.N - odd.T) <= np.finfo(float).eps * odd.T
 
 
-@pytest.mark.parametrize("T,N", [(0.0, 10), (-1.0, 10), (np.inf, 10), (np.nan, 10), (1.0, 0), (1.0, -3)])
+@pytest.mark.parametrize(
+    "T,N", [(0.0, 10), (-1.0, 10), (np.inf, 10), (np.nan, 10), (1.0, 0), (1.0, -3), (1.0, 2.5), (1.0, np.nan)]
+)
 def test_time_grid_rejects_bad_arguments(T, N):
     with pytest.raises(ValueError):
         TimeGrid(T=T, N=N)
@@ -78,6 +80,9 @@ def test_scheme_coefficients_validation():
         SchemeCoefficients(k=1, alpha=(-1.0, 1.0), beta=(0.0, 1.0), gamma=())
     with pytest.raises(ValueError):
         SchemeCoefficients(k=0, alpha=(1.0,), beta=(1.0,), gamma=())
+    for k in (1.5, float("nan")):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            SchemeCoefficients(k=k, alpha=(-1.0, 1.0), beta=(0.0, 1.0), gamma=(1.0,))
 
 
 def test_sde_model_validates_dimensions_and_constants():
@@ -87,6 +92,8 @@ def test_sde_model_validates_dimensions_and_constants():
     for kwargs in (
         dict(state_dim=0, noise_dim=1),
         dict(state_dim=1, noise_dim=0),
+        dict(state_dim=2.5, noise_dim=1),
+        dict(state_dim=1, noise_dim=float("nan")),
         dict(state_dim=1, noise_dim=1, L=0.0),
         dict(state_dim=1, noise_dim=1, eta=0.0),
         dict(state_dim=1, noise_dim=1, q=0.5),

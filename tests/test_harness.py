@@ -23,7 +23,7 @@ from sdestep import (
     strong_error,
     write_csv,
 )
-from sdestep import harness
+from sdestep import harness, schemes
 from sdestep.harness import (
     LevelRow,
     SchemeCell,
@@ -116,6 +116,32 @@ def test_experiment_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, float("nan")])
+@pytest.mark.parametrize(
+    "field", ["levels", "samples", "ref_steps", "base_seed", "threads", "batch_size"]
+)
+def test_experiment_config_rejects_non_integer_counts_by_name(field, value):
+    base = dict(model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25, 50), samples=8,
+                ref_steps=400, base_seed=1)
+    bad = (value,) if field == "levels" else value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+        ExperimentConfig(**dict(base, **{field: bad}))
+
+
+def test_experiment_config_takes_numpy_integers():
+    cfg = ExperimentConfig(
+        model=VOL32, x0=(1.0,), schemes=("bem",), levels=(np.int32(25), np.int64(50)),
+        samples=np.int64(8), ref_steps=np.int64(400), base_seed=np.uint64(1),
+        threads=np.int8(1), batch_size=np.int16(4),
+    )
+    plain = ExperimentConfig(
+        model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25, 50), samples=8, ref_steps=400,
+        base_seed=1, batch_size=4,
+    )
+    assert cfg.levels == (25, 50)
+    assert _sha256(run_convergence_study(cfg)) == _sha256(run_convergence_study(plain))
 
 
 def test_experiment_config_rejects_non_finite_x0_and_horizon():
@@ -217,6 +243,35 @@ def test_engine_evaluates_the_diffusion_once_per_step():
     assert len(calls) == passes * (cfg.ref_steps + sum(cfg.levels) * len(cfg.schemes))
 
 
+def test_toy2d_study_makes_exactly_k_newton_updates_per_implicit_solve(monkeypatch):
+    calls = {"drift": 0, "jacobian": 0, "diffusion": 0, "solve": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(schemes, "_newton_solve", counting("solve", schemes._newton_solve))
+    model = dataclasses.replace(
+        TOY,
+        drift=counting("drift", TOY.drift),
+        drift_jacobian=counting("jacobian", TOY.drift_jacobian),
+        diffusion=counting("diffusion", TOY.diffusion),
+    )
+    cfg = ExperimentConfig(
+        model=model, x0=(2.0, 3.0), levels=(25, 50), samples=6, ref_steps=200, base_seed=3,
+        batch_size=4,
+    )
+    run_convergence_study(cfg)
+    # one pass: the BDF2 reference (its BEM starter included) and the bem and bdf2 levels solve
+    # once per step; explicit Euler calls the drift once per step and solves nothing
+    assert calls["solve"] == cfg.ref_steps + 2 * sum(cfg.levels) == 350
+    assert calls["jacobian"] == cfg.solver.newton_iterations * calls["solve"] == 1750
+    assert calls["drift"] == calls["jacobian"] + sum(cfg.levels) == 1825
+    assert calls["diffusion"] == cfg.ref_steps + 3 * sum(cfg.levels) == 425
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_copy_start_checks_no_one_step_bound():
     # h = 1: inside the two-step bound (h < 3/2), on the one-step bound (h*1*L = 1)
@@ -285,8 +340,8 @@ def test_one_sample_batches_reduce_exactly_like_the_per_sample_route():
 
 def test_strong_error_rejects_empty_levels_and_keeps_empty_references():
     cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(25,), samples=2, ref_steps=100)
-    for n_steps in (0, -4):
-        with pytest.raises(ValueError, match="n_steps"):
+    for n_steps in (0, -4, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="^n_steps must be"):
             strong_error(cfg, "bdf2", n_steps, [])
     err, exploded = strong_error(cfg, "bdf2", 25, [])
     assert np.isnan(err) and exploded == 0

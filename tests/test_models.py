@@ -148,6 +148,52 @@ def test_toy2d_model_contract():
     assert model.diffusion(batch).shape == (2, 2, 2)
 
 
+def reference_toy2d(params, x):
+    """Drift, diffusion and Jacobian by the componentwise formulas the model once used."""
+    x1, x2 = x[..., 0], x[..., 1]
+    a_diag = 0.5 * (1.0 + params.lam)
+    a_off = 0.5 * (1.0 - params.lam)
+    f1 = x1 - x1**3 - (a_diag * x1 + a_off * x2)
+    f2 = x2 - x2**3 - (a_off * x1 + a_diag * x2)
+    g = np.zeros(x.shape + (2,), dtype=float)
+    g[..., 0, 0] = params.sigma * x1**2
+    g[..., 1, 1] = params.sigma * x2**2
+    jf = np.empty(x.shape + (2,), dtype=float)
+    jf[..., 0, 0] = 1.0 - 3.0 * x1**2 - a_diag
+    jf[..., 0, 1] = -a_off
+    jf[..., 1, 0] = -a_off
+    jf[..., 1, 1] = 1.0 - 3.0 * x2**2 - a_diag
+    return np.stack([f1, f2], axis=-1), g, jf
+
+
+def assert_same_bits(got, want):
+    """Equal shape and dtype, NaN at the same places and every other value bit for bit."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lam,sigma", [(96.0, 1.0), (96.0, 0.47), (1.0, 0.3), (0.0, 0.0)])
+def test_toy2d_whole_array_kernels_keep_the_componentwise_bits(lam, sigma):
+    params = ToyCubic2D(lam=lam, sigma=sigma)
+    special = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+    pairs = np.array([(u, v) for u in special for v in special])  # (81, 2)
+    batch = np.concatenate([pairs, np.random.default_rng(6).normal(scale=3.0, size=(39, 2))])
+    inputs = [
+        batch[0], batch[17], batch[100],  # (2,)
+        batch,  # (B, 2)
+        batch.reshape(12, 10, 2),  # (B, N, 2), as the residual estimator passes
+        batch[::3],  # a strided view
+    ]
+    for x in inputs:
+        f, g, jf = reference_toy2d(params, x)
+        assert_same_bits(params.drift(x), f)
+        assert_same_bits(params.diffusion(x), g)
+        assert_same_bits(params.drift_jacobian(x), jf)
+
+
 # ------------------------------------------------------ factory validation
 
 
@@ -314,6 +360,9 @@ def test_checkers_reject_negative_sample_counts_and_accept_zero():
         for check in calls:
             with pytest.raises(ValueError, match=rf"\b{name} must be >= 0, got -5"):
                 check(-5)
+            for value in (2.5, float("nan")):
+                with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+                    check(value)
             assert check(0).pairs_tested > 0  # the deterministic lattice alone
 
 

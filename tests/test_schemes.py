@@ -30,6 +30,7 @@ from sdestep import (
     step_lmm,
 )
 from sdestep.brownian import IncrementTable
+from sdestep.schemes import _solve_linear
 
 VOL32_PARAMS, VOL32 = make_model("vol32", 4.0, 1.0)
 TOY_PARAMS, TOY = make_model("toy2d", 96.0, 0.47)
@@ -268,6 +269,54 @@ def test_solver_mode_configuration_errors():
         ImplicitSolverConfig(mode="bogus")
     with pytest.raises(ValueError):
         ImplicitSolverConfig(newton_iterations=0)
+
+
+def test_newton_iterations_must_be_an_integer():
+    for value in (2.5, float("nan")):
+        with pytest.raises(ValueError, match=f"^newton_iterations must be an integer, got {value}$"):
+            ImplicitSolverConfig(newton_iterations=value)
+    R = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    numpy_int = solve_implicit(TOY, 1.0, 0.01, R, ImplicitSolverConfig(newton_iterations=np.int64(3)))
+    plain = solve_implicit(TOY, 1.0, 0.01, R, ImplicitSolverConfig(newton_iterations=3))
+    assert numpy_int.tobytes() == plain.tobytes()
+
+
+def reference_solve_2x2(A, b):
+    """The componentwise adjugate solve that ``_solve_linear`` used for m = 2, for a batch."""
+    a11, a12, a21, a22 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    det = a11 * a22 - a12 * a21
+    b = np.where((np.abs(det) < 1e-14)[..., None], np.nan, b)
+    x1 = (a22 * b[..., 0] - a12 * b[..., 1]) / det
+    x2 = (a11 * b[..., 1] - a21 * b[..., 0]) / det
+    return np.stack([x1, x2], axis=-1)
+
+
+def assert_same_bits(got, want):
+    """Equal shape and dtype, NaN at the same places and every other value bit for bit."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_two_by_two_solve_keeps_the_bits_of_the_componentwise_adjugate():
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200, np.inf, -np.inf, np.nan]
+    A = rng.normal(size=(60, 2, 2))
+    A[0] = [[1.0, 2.0], [2.0, 4.0]]  # singular row
+    A[1:10, 0, 0] = special
+    b = rng.normal(size=(60, 2))
+    b[10:19, 0] = special
+    b[19:28, 1] = special
+    for shape in [(60,), (6, 10)]:
+        A_s, b_s = A.reshape(shape + (2, 2)), b.reshape(shape + (2,))
+        assert_same_bits(_solve_linear(A_s, b_s), reference_solve_2x2(A_s, b_s))
+    assert np.isnan(_solve_linear(A, b)[0]).all()
+    for i in (5, 12, 30):  # single states
+        assert_same_bits(_solve_linear(A[i], b[i]), reference_solve_2x2(A[i], b[i]))
+    with pytest.raises(SolverSingularError, match=r"\|det\|=0\.000e\+00"):
+        _solve_linear(A[0], b[0])
 
 
 def test_non_finite_rhs_propagates_as_nan():
