@@ -75,6 +75,29 @@ class IncrementTable:
         return self.increments.sum(axis=0)
 
 
+def _draw_rows(generators, rows: int, noise_dim: int, h: float) -> np.ndarray:
+    """The next ``rows`` N(0, h) increments of each stream, time-major ``(rows, B, d)``.
+
+    Each generator fills its own ``(rows, d)`` block row-major, so drawing a
+    stream in chunks gives the same numbers as drawing it at once.
+    """
+    normals = np.stack([g.standard_normal((rows, noise_dim)) for g in generators], axis=1)
+    return normals * np.sqrt(h)
+
+
+def _coarsen_rows(fine: np.ndarray, factor: int) -> np.ndarray:
+    """Sums of consecutive slabs of ``factor`` rows of a time-major array.
+
+    Output row j is fine rows j*factor .. (j+1)*factor - 1 added in ascending
+    index order, one slab at a time, whatever the trailing shape.
+    """
+    blocks = fine.reshape(fine.shape[0] // factor, factor, *fine.shape[1:])
+    out = blocks[:, 0].copy()
+    for i in range(1, factor):
+        out += blocks[:, i]
+    return out
+
+
 def generate_increments(grid: TimeGrid, noise_dim: int, seed: SeedSpec) -> IncrementTable:
     """Draw the full table of N(0, h) increments for one sample.
 
@@ -83,8 +106,7 @@ def generate_increments(grid: TimeGrid, noise_dim: int, seed: SeedSpec) -> Incre
     never on how many other samples are being generated concurrently.
     """
     _require_count(1, noise_dim=noise_dim)
-    rng = seed.generator()
-    inc = rng.standard_normal((grid.N, noise_dim)) * np.sqrt(grid.h)
+    inc = _draw_rows([seed.generator()], grid.N, noise_dim, grid.h)[:, 0]
     return IncrementTable(grid=grid, noise_dim=noise_dim, increments=inc)
 
 
@@ -104,10 +126,7 @@ def coarsen(table: IncrementTable, factor: int) -> IncrementTable:
     if factor == 1:
         return table
     coarse_grid = TimeGrid(T=fine.T, N=fine.N // factor)
-    blocks = table.increments.reshape(coarse_grid.N, factor, table.noise_dim)
-    out = blocks[:, 0, :].copy()
-    for i in range(1, factor):
-        out += blocks[:, i, :]
+    out = _coarsen_rows(table.increments, factor)
     return IncrementTable(grid=coarse_grid, noise_dim=table.noise_dim, increments=out)
 
 
@@ -128,8 +147,11 @@ def load_increments(path) -> IncrementTable:
         if len(raw) != _HEADER.size:
             raise ValueError(f"truncated header in {path}")
         n, d, h = _HEADER.unpack(raw)
-        if n < 1 or d < 1 or not (h > 0):
-            raise ValueError(f"invalid header (N={n}, d={d}, h={h}) in {path}")
+        if n < 1 or d < 1 or not (h > 0 and np.isfinite(h * n)):
+            raise ValueError(
+                f"invalid header (N={n}, d={d}, h={h}) in {path}:"
+                " h must be a positive finite real, and so must N*h"
+            )
         size = 8 * n * d
         left = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != left:

@@ -38,7 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .brownian import IncrementTable, SeedSpec, coarsen, generate_increments
+# the study engine draws and coarsens through these module names, where a trace can patch them
+from .brownian import SeedSpec, _coarsen_rows, _draw_rows, coarsen, generate_increments
 from .core import (
     BACKWARD_EULER,
     BDF2,
@@ -182,20 +183,12 @@ def cfl_indicator(lam: float, h: float) -> bool:
     return bool(abs(1.0 - lam * h) < 1.0)
 
 
-def _integrate_named(config: ExperimentConfig, scheme: str, table: IncrementTable) -> GridFunction:
-    """One path of a named scheme over one increment table, as the study runs it."""
-    return integrate(
-        config.model, SCHEME_COEFFS[scheme], config.solver, table.grid, table, config.x0,
-        second_init=config.second_init,
-    )
-
-
 def reference_trajectory(config: ExperimentConfig, sample_index: int) -> GridFunction:
     """The fine reference trajectory for one sample of a study."""
-    table = generate_increments(
-        config.fine_grid, config.model.noise_dim, SeedSpec(config.base_seed, sample_index)
-    )
-    return _integrate_named(config, config.reference_scheme, table)
+    seed = SeedSpec(config.base_seed, sample_index)
+    table = generate_increments(config.fine_grid, config.model.noise_dim, seed)
+    return integrate(config.model, SCHEME_COEFFS[config.reference_scheme], config.solver,
+                     table.grid, table, config.x0, second_init=config.second_init)
 
 
 def _masked_sums(*squares: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
@@ -244,8 +237,10 @@ def strong_error(
     ``references[i]`` must be the fine-grid reference of sample index i
     (same base seed); the sample's noise is regenerated here and coarsened
     onto the level grid, so scheme and reference see the same Brownian
-    path.  Each sample is one partial of the shared reduction, merged in
-    sample order.  Returns ``(error, exploded_count)``; the error is NaN
+    path.  All samples are stepped together as one batch, so a sample
+    whose Newton linearization turns singular counts as exploded, as in
+    the study.  Each sample is one partial of the shared reduction, merged
+    in sample order.  Returns ``(error, exploded_count)``; the error is NaN
     when every sample exploded or ``references`` is empty.
     """
     if scheme not in SCHEME_COEFFS:
@@ -253,20 +248,22 @@ def strong_error(
     _require_count(1, n_steps=n_steps)
     if config.ref_steps % n_steps != 0:
         raise ValueError(f"level N={n_steps} does not divide ref_steps={config.ref_steps}")
-    factor = config.ref_steps // n_steps
-    partials = []
     for idx, ref in enumerate(references):
         if ref.grid != config.fine_grid:
             raise ValueError(f"reference {idx} lives on {ref.grid}, expected {config.fine_grid}")
-        fine = generate_increments(
-            config.fine_grid, config.model.noise_dim, SeedSpec(config.base_seed, idx)
-        )
-        states = _integrate_named(config, scheme, coarsen(fine, factor)).states
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev = states - ref.states[::factor]
-            devsq = np.sum(dev * dev, axis=-1)
-        partials.append({n_steps: _masked_sums(devsq[None])})
-    (total,), valid = _kahan_merge(partials).get(n_steps, ((np.empty(0),), 0))
+    if not references:
+        return float("nan"), 0
+    factor = config.ref_steps // n_steps
+    d = config.model.noise_dim
+    increments = np.stack([
+        coarsen(generate_increments(config.fine_grid, d, SeedSpec(config.base_seed, idx)),
+                factor).increments
+        for idx in range(len(references))
+    ], axis=1)
+    ref_states = np.stack([ref.states[::factor] for ref in references])
+    devsq = _deviations(config, scheme, increments, ref_states)
+    partials = [{n_steps: _masked_sums(devsq[i:i + 1])} for i in range(len(references))]
+    (total,), valid = _kahan_merge(partials)[n_steps]
     return _rms_max(total, valid), len(references) - valid
 
 
@@ -383,8 +380,8 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     restricted to the level grid, shape (B, N_l+1, m), and the coarsened
     increments, time-major with shape (N_l, B, d).  A chunk is the lcm of
     the coarsening factors, which divides ``ref_steps``, so every chunk
-    coarsens whole.  Coarse rows are accumulated from fine rows in
-    ascending index order, exactly as :func:`brownian.coarsen`.
+    coarsens whole.  Noise is drawn and coarsened by the bodies
+    :func:`brownian.generate_increments` and :func:`brownian.coarsen` use.
     """
     model = config.model
     B = hi - lo
@@ -392,7 +389,6 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     m = model.state_dim
     ref_steps = config.ref_steps
     h_fine = config.fine_grid.h
-    sqrt_h = np.sqrt(h_fine)
     factors = {n: ref_steps // n for n in config.levels}
     gcd_all = math.gcd(*factors.values())
     chunk = math.lcm(*factors.values())
@@ -409,12 +405,9 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, config.second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for consumed in range(0, ref_steps, chunk):
-            fine_chunk = np.stack([g.standard_normal((chunk, d)) for g in gens], axis=1) * sqrt_h
+            fine_chunk = _draw_rows(gens, chunk, d, h_fine)
             for n, f in factors.items():
-                # cumsum adds in ascending order, the order coarsen() uses
-                view = fine_chunk.reshape(chunk // f, f, B, d)
-                rows = slice(consumed // f, (consumed + chunk) // f)
-                coarse_incs[n][rows] = np.cumsum(view, axis=1)[:, -1]
+                coarse_incs[n][consumed // f:(consumed + chunk) // f] = _coarsen_rows(fine_chunk, f)
             for t in range(chunk):
                 x = stepper.advance(fine_chunk[t])
                 g_step = consumed + t + 1
@@ -425,32 +418,43 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     return snapshots, coarse_incs
 
 
+def _deviations(config: ExperimentConfig, scheme: str, increments: np.ndarray,
+                ref_states: np.ndarray) -> np.ndarray:
+    """Squared deviations ``(B, n+1)`` of a scheme from reference states ``(B, n+1, m)``.
+
+    The scheme starts every row from ``config.x0`` and steps the time-major
+    increments ``(n, B, d)`` on the grid of n steps; column j is
+    ``|x_j - ref_states[:, j]|^2``, column 0 included.
+    """
+    n, B, _ = increments.shape
+    x0 = np.broadcast_to(np.asarray(config.x0), (B, config.model.state_dim))
+    stepper = _Stepper(config.model, SCHEME_COEFFS[scheme], config.solver,
+                       config.level_grid(n).h, x0, config.second_init)
+    devsq = np.empty((B, n + 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dev = x0 - ref_states[:, 0, :]
+        devsq[:, 0] = np.sum(dev * dev, axis=-1)
+        for j, dW in enumerate(increments, 1):
+            dev = stepper.advance(dW) - ref_states[:, j, :]
+            devsq[:, j] = np.sum(dev * dev, axis=-1)
+    return devsq
+
+
 def _study_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
     """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations.
 
     The reference and every (level, scheme) stepper run once over all rows
     of the pass; each batch's rows are then reduced on their own.
     """
-    model = config.model
     lo, hi = batches[0][0], batches[-1][1]
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
 
     out = [{} for _ in batches]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in config.levels:
-            h = config.level_grid(n).h
-            ref_states = snapshots[n]
-            x0 = ref_states[:, 0]
-            for scheme in config.schemes:
-                coeffs = SCHEME_COEFFS[scheme]
-                stepper = _Stepper(model, coeffs, config.solver, h, x0, config.second_init)
-                devsq = np.empty((hi - lo, n + 1))
-                devsq[:, 0] = 0.0
-                for j, dW in enumerate(coarse_incs[n], 1):
-                    dev = stepper.advance(dW) - ref_states[:, j, :]
-                    devsq[:, j] = np.sum(dev * dev, axis=-1)
-                for part, (blo, bhi) in zip(out, batches):
-                    part[(n, scheme)] = _masked_sums(devsq[blo - lo:bhi - lo])
+    for n in config.levels:
+        for scheme in config.schemes:
+            devsq = _deviations(config, scheme, coarse_incs[n], snapshots[n])
+            for part, (blo, bhi) in zip(out, batches):
+                part[(n, scheme)] = _masked_sums(devsq[blo - lo:bhi - lo])
     return out
 
 

@@ -45,16 +45,18 @@ __all__ = [
 def _check_sigma(params) -> None:
     """Reject a sigma that is not a finite real >= 0 or that makes eta unusable.
 
-    eta divides by 2 sigma^2, so a tiny sigma divides by zero (sigma^2
-    underflows) or gives an infinite eta (sigma^2 is subnormal).
+    eta and the theory regime square sigma, so sigma^2 must be finite (in
+    Python ``sigma**2`` raises above about 1.34e154).  eta divides by
+    2 sigma^2, so a tiny sigma divides by zero (sigma^2 underflows) or gives
+    an infinite eta (sigma^2 is subnormal).
     """
     sigma = params.sigma
-    if not (sigma >= 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be a finite real >= 0, got {sigma}")
+    if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
+        raise ValueError(f"sigma must be a finite real >= 0 with a finite square, got {sigma}")
     if sigma > 0.0 and not (sigma**2 > 0.0 and 0.0 < params.eta < math.inf):
         raise ValueError(
-            f"sigma={sigma} is too small: the weight eta, which divides by 2 sigma^2,"
-            " is not a positive finite real"
+            f"sigma={sigma} is too small or too large: the weight eta, which divides by"
+            " 2 sigma^2, is not a positive finite real"
         )
 
 

@@ -497,8 +497,8 @@ def integrate(
     but a singular Newton linearization aborts with the failing step index
     attached.
     """
-    if increments.grid != grid:
-        raise ValueError("increment table grid does not match the integration grid")
+    if (increments.grid.N, increments.grid.h) != (grid.N, grid.h):
+        raise ValueError("increment table grid (N, h) does not match the integration grid")
     if increments.noise_dim != model.noise_dim:
         raise ValueError(
             f"increment table has d={increments.noise_dim}, model expects {model.noise_dim}"

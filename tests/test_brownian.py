@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sdestep import IncrementTable, SeedSpec, TimeGrid, coarsen, dump_increments, generate_increments, load_increments
+from sdestep import (
+    BDF2,
+    ImplicitSolverConfig,
+    IncrementTable,
+    SeedSpec,
+    TimeGrid,
+    coarsen,
+    dump_increments,
+    generate_increments,
+    integrate,
+    load_increments,
+    make_model,
+)
 
 
 def test_seed_spec_validation():
@@ -202,6 +214,29 @@ def test_dump_load_round_trip_and_layout(tmp_path):
     assert loaded.noise_dim == 3
     assert loaded.grid.h == grid.h
     assert np.array_equal(loaded.increments, table.increments)
+
+
+@pytest.mark.parametrize("n", [49, 98])
+def test_a_loaded_table_integrates_like_the_original(tmp_path, n):
+    # the loaded grid's T = h*N is 0.9999999999999999 here, but N and h are the original ones
+    grid = TimeGrid(T=1.0, N=n)
+    table = generate_increments(grid, 1, SeedSpec(3, 1))
+    path = tmp_path / "table.bin"
+    dump_increments(table, path)
+    loaded = load_increments(path)
+    _, model = make_model("vol32", 4.0, 1.0)
+    cfg = ImplicitSolverConfig()
+    want = integrate(model, BDF2, cfg, grid, table, [1.0]).states
+    got = integrate(model, BDF2, cfg, grid, loaded, [1.0]).states
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -1.0, 1e308])
+def test_load_rejects_a_header_step_that_is_no_positive_finite_real(tmp_path, h):
+    path = tmp_path / "bad_h.bin"
+    path.write_bytes(struct.pack("<qqd", 4, 1, h) + bytes(32))
+    with pytest.raises(ValueError, match="invalid header .*bad_h.bin"):
+        load_increments(path)
 
 
 def test_load_rejects_truncated_files(tmp_path):

@@ -236,8 +236,11 @@ def test_bad_configuration_exits_two(capsys):
         (["converge", "--model", "vol32", "--x0", "nan"], "x0"),
         (["converge", "--model", "vol32", "--sigma", "nan"], "sigma"),
         (["simulate", "--model", "toy2d", "--lambda", "nan", "--steps", "10"], "lam"),
+        (["simulate", "--model", "toy2d", "--sigma", "1e160", "--steps", "4"], "sigma"),
+        (["converge", "--model", "vol32", "--lambda", "1e308", "--sigma", "1e200"], "sigma"),
     ],
-    ids=["converge-lambda-inf", "converge-x0-nan", "converge-sigma-nan", "simulate-lambda-nan"],
+    ids=["converge-lambda-inf", "converge-x0-nan", "converge-sigma-nan", "simulate-lambda-nan",
+         "simulate-sigma-huge", "converge-sigma-huge"],
 )
 def test_non_finite_model_input_exits_two(argv, name, capsys):
     study = ["--levels", "25", "--samples", "2", "--ref-steps", "100"] if argv[0] == "converge" else []

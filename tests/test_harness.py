@@ -170,16 +170,29 @@ def test_reference_trajectory_is_deterministic_per_sample():
 # ------------------------------------------------------------ study engine
 
 
-def _multi_chunk_config(model, x0, **kw):
-    # factors 16 and 8: 16-step chunks, 25 of them per reference pass
+def _multi_chunk_config(model, x0, levels=(25, 50), ref_steps=400, **kw):
+    # by default factors 16 and 8: 16-step chunks, 25 of them per reference pass
     return ExperimentConfig(
-        model=model, x0=x0, levels=(25, 50), samples=9, ref_steps=400, base_seed=21, **kw
+        model=model, x0=x0, levels=levels, samples=9, ref_steps=ref_steps, base_seed=21, **kw
     )
 
 
-@pytest.mark.parametrize("model,x0", [(VOL32, (1.0,)), (TOY, (2.0, 3.0))], ids=["vol32", "toy2d"])
-def test_engine_coarse_increments_equal_coarsened_tables_bitwise(model, x0):
-    cfg = _multi_chunk_config(model, x0)
+# levels (40, 50) do not nest: factors 5 and 4 give 20-step chunks, larger than either factor
+_ENGINE_CASES = pytest.mark.parametrize(
+    "model,x0,levels,ref_steps",
+    [
+        (VOL32, (1.0,), (25, 50), 400),
+        (TOY, (2.0, 3.0), (25, 50), 400),
+        (VOL32, (1.0,), (40, 50), 200),
+        (TOY, (2.0, 3.0), (40, 50), 200),
+    ],
+    ids=["vol32", "toy2d", "vol32-unnested", "toy2d-unnested"],
+)
+
+
+@_ENGINE_CASES
+def test_engine_coarse_increments_equal_coarsened_tables_bitwise(model, x0, levels, ref_steps):
+    cfg = _multi_chunk_config(model, x0, levels, ref_steps)
     lo, hi = 2, 9
     _snapshots, coarse_incs = _reference_pass(cfg, lo, hi)
     for n in cfg.levels:
@@ -191,9 +204,10 @@ def test_engine_coarse_increments_equal_coarsened_tables_bitwise(model, x0):
 
 
 @pytest.mark.parametrize("second_init", ["bem", "copy"])
-@pytest.mark.parametrize("model,x0", [(VOL32, (1.0,)), (TOY, (2.0, 3.0))], ids=["vol32", "toy2d"])
-def test_engine_snapshots_equal_per_sample_references_bitwise(model, x0, second_init):
-    cfg = _multi_chunk_config(model, x0, second_init=second_init)
+@_ENGINE_CASES
+def test_engine_snapshots_equal_per_sample_references_bitwise(model, x0, levels, ref_steps,
+                                                              second_init):
+    cfg = _multi_chunk_config(model, x0, levels, ref_steps, second_init=second_init)
     lo, hi = 2, 9
     snapshots, _coarse_incs = _reference_pass(cfg, lo, hi)
     for i in range(hi - lo):
@@ -336,6 +350,21 @@ def test_one_sample_batches_reduce_exactly_like_the_per_sample_route():
             err, exploded = strong_error(cfg, scheme, n, refs)
             assert _same_float(err, table.cell(n, scheme).error)
             assert exploded == table.cell(n, scheme).exploded
+
+
+def test_strong_error_counts_a_singular_newton_row_as_exploded_like_the_study():
+    # backward Euler at h = 1/25 on drift 25*x: the Newton matrix 1 - h*25 is singular
+    model = SdeModel(
+        state_dim=1, noise_dim=1, drift=lambda x: 25.0 * x,
+        diffusion=lambda x: np.zeros(x.shape + (1,)),
+        drift_jacobian=lambda x: np.full(x.shape + (1,), 25.0), L=1.0,
+    )
+    cfg = ExperimentConfig(model=model, x0=(1.0,), schemes=("bem",), levels=(25,), samples=4,
+                           ref_steps=100)
+    refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
+    err, exploded = strong_error(cfg, "bem", 25, refs)
+    assert np.isnan(err)
+    assert exploded == cfg.samples == run_convergence_study(cfg).cell(25, "bem").exploded
 
 
 def test_strong_error_rejects_empty_levels_and_keeps_empty_references():

@@ -223,6 +223,7 @@ def test_non_finite_parameters_are_rejected_by_name(family):
         (float("nan"), 1.0, "lam"),
         (4.0, float("nan"), "sigma"),
         (4.0, float("inf"), "sigma"),
+        (4.0, 1e160, "sigma"),  # sigma**2 overflows
     ):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make_model(family, lam, sigma)
