@@ -22,6 +22,7 @@ import numpy as np
 from .brownian import SeedSpec, generate_increments
 from .core import TimeGrid
 from .harness import (
+    _REFERENCE_SCHEMES,
     SCHEME_COEFFS,
     ExperimentConfig,
     estimate_residuals,
@@ -87,7 +88,7 @@ def _add_study_arguments(p: argparse.ArgumentParser, samples: int) -> None:
     p.add_argument("--samples", type=int, default=samples)
     p.add_argument("--ref-steps", type=int, default=25 * 2**12)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--reference", choices=("bem", "bdf2"), default="bdf2")
+    p.add_argument("--reference", choices=_REFERENCE_SCHEMES, default="bdf2")
     p.add_argument("--batch-size", type=int, default=1024)
 
 
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p)
     _add_solver_arguments(p)
     p.add_argument("--schemes", default="eulm,bem,bdf2",
-                   help="comma list drawn from eulm,bem,bdf2")
+                   help="comma list drawn from " + ",".join(SCHEME_COEFFS))
     _add_study_arguments(p, samples=10_000)
     p.add_argument("--out", default=None, help="CSV path ('-' or omitted: stdout)")
     p.set_defaults(func=_cmd_converge)

@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 SCHEME_COEFFS = {"eulm": EXPLICIT_EULER, "bem": BACKWARD_EULER, "bdf2": BDF2}
+# the schemes a study may integrate its fine reference with: the implicit ones
+_REFERENCE_SCHEMES = tuple(name for name, coeffs in SCHEME_COEFFS.items() if coeffs.implicit)
 
 #: Fraction of exploded samples at which a table cell is rendered "-".
 EXPLOSION_RENDER_THRESHOLD = 1e-3
@@ -150,8 +152,9 @@ class ExperimentConfig:
             raise ValueError("base_seed must fit in 64 bits")
         if self.second_init not in ("bem", "copy"):
             raise ValueError(f"second_init must be 'bem' or 'copy', got {self.second_init!r}")
-        if self.reference_scheme not in ("bem", "bdf2"):
-            raise ValueError(f"reference scheme must be 'bem' or 'bdf2', got {self.reference_scheme!r}")
+        if self.reference_scheme not in _REFERENCE_SCHEMES:
+            raise ValueError(f"reference scheme must be one of {list(_REFERENCE_SCHEMES)}, "
+                             f"got {self.reference_scheme!r}")
 
     @property
     def fine_grid(self) -> TimeGrid:

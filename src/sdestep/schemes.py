@@ -11,7 +11,8 @@ solution whenever ``h * beta * L < 1``.  Every implicit solve checks that
 bound once, when it is set up (:func:`_solve_core`), for each ``beta`` a
 run will use.  The set-up returns ``solve(R)``, a function of R alone: a
 model-supplied closed form or a fixed number of Newton iterations started
-from R.  A singular Newton linearization of a single state raises
+from R.  A non-finite row of R runs through the same arithmetic and comes
+back non-finite.  A singular Newton linearization of a single state raises
 :class:`SolverSingularError`; :func:`integrate` attaches the failing step.
 
 All steppers are vectorized over leading axes: states may be ``(m,)`` or
@@ -236,11 +237,10 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
     Raises for ``beta <= 0``, an ``h`` that is not a positive finite real,
     a violated step bound h*beta*L < 1 (unless ``cfg.enforce_step_bound``
     is off) and a solver mode the model cannot serve.  This is the only
-    check of the step bound.  The returned ``solve(R)`` takes a float array
-    R of shape ``(m,)`` or ``(B, m)``.  One whole-array finiteness test
-    settles the common case; otherwise only the finite rows reach the
-    closed form or Newton, and the others (or a single non-finite state)
-    come back NaN.
+    check of the step bound.  The returned ``solve(R)`` is the closed form
+    or :func:`_newton_solve` itself, for R of shape ``(m,)`` or ``(B, m)``.
+    A non-finite row (or single state) runs through its arithmetic and
+    comes back non-finite; rows are independent, so the others keep their bits.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
@@ -258,30 +258,18 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
         raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
-        core = partial(model.closed_form_implicit, beta, h)
-    elif model.drift_jacobian is None:
+        return partial(model.closed_form_implicit, beta, h)
+    if model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
-    else:
-        core = partial(_newton_solve, model.drift, model.drift_jacobian,
-                       np.eye(model.state_dim), beta * h, cfg.newton_iterations)
-
-    def solve(R: np.ndarray) -> np.ndarray:
-        if np.isfinite(R).all():
-            return core(R)
-        finite = np.isfinite(R).all(axis=-1)
-        out = np.full_like(R, np.nan)
-        if R.ndim > 1 and finite.any():
-            out[finite] = core(R[finite])
-        return out
-
-    return solve
+    return partial(_newton_solve, model.drift, model.drift_jacobian,
+                   np.eye(model.state_dim), beta * h, cfg.newton_iterations)
 
 
 def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolverConfig):
     """Solve the implicit step equation x - h*beta*f(x) = R.
 
     Requires ``0 < h*beta*L < 1`` unless ``cfg.enforce_step_bound`` is off.
-    Non-finite rows of R propagate as NaN without touching the solver — an
+    Non-finite rows of R go through the solve and come back non-finite — an
     exploded sample is data, not an error.  Newton starts from R.
     """
     return _solve_core(model, beta, h, cfg)(np.asarray(R, dtype=float))

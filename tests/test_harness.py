@@ -323,7 +323,13 @@ def test_per_sample_and_batched_routes_agree():
     # explicit Euler on stiff toy2d explodes 32/11/0 samples, so counts are compared non-zero
     toy_eulm = dict(model=TOY_SIGMA1, x0=(2.0, 3.0), schemes=("eulm",), samples=32, base_seed=77,
                     batch_size=16)
-    for kw, exploded in ((vol32, (0, 0, 0)), (toy_eulm, (32, 11, 0))):
+    # diffusion 3x^2 explodes both implicit schemes 4/3/3 times (the reference stays finite),
+    # so non-finite R rows reach the level solves
+    blowup = SdeModel(1, 1, drift=lambda x: -x, diffusion=lambda x: (3.0 * x * x)[..., None],
+                      drift_jacobian=lambda x: -np.ones(x.shape + (1,)))
+    implicit = dict(model=blowup, x0=(1.0,), schemes=("bem", "bdf2"), samples=24, base_seed=3,
+                    batch_size=7)
+    for kw, exploded in ((vol32, (0, 0, 0)), (toy_eulm, (32, 11, 0)), (implicit, (4, 3, 3))):
         cfg = ExperimentConfig(levels=(25, 50, 100), ref_steps=400, **kw)
         refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
         table = run_convergence_study(cfg)

@@ -319,17 +319,31 @@ def test_two_by_two_solve_keeps_the_bits_of_the_componentwise_adjugate():
         _solve_linear(A[0], b[0])
 
 
-def test_non_finite_rhs_propagates_as_nan():
-    cfg = ImplicitSolverConfig(mode="newton")
-    single = solve_implicit(VOL32, 1.0, 0.01, np.array([np.nan]), cfg)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize(
+    "model, mode, h, scale",
+    [
+        (VOL32, "auto", 0.01, 5.0),  # the closed form
+        (VOL32, "newton", 0.01, 5.0),
+        (TOY, "newton", 0.004, 30.0),
+        (SPD3, "newton", 0.04, 3.0),
+    ],
+    ids=["vol32-closed-form", "vol32-newton", "toy2d-newton", "spd3-newton"],
+)
+def test_non_finite_rhs_propagates_as_nan(model, mode, h, scale, bad):
+    # a non-finite row runs through the core's own arithmetic and comes back
+    # NaN (no finite entry), and its batch-mates keep the bits they have alone
+    cfg = ImplicitSolverConfig(mode=mode)
+    single = solve_implicit(model, 2.0 / 3.0, h, np.full(model.state_dim, bad), cfg)
     assert np.isnan(single).all()
 
-    batch = np.array([[1.0], [np.nan], [-2.0]])
-    out = solve_implicit(VOL32, 1.0, 0.01, batch, cfg)
-    assert np.isnan(out[1]).all()
-    for i in (0, 2):
-        row = solve_implicit(VOL32, 1.0, 0.01, batch[i], cfg)
-        assert np.array_equal(out[i], row)
+    batch = np.random.default_rng(5).uniform(-scale, scale, size=(5, model.state_dim))
+    batch[2] = bad
+    out = solve_implicit(model, 2.0 / 3.0, h, batch, cfg)
+    assert out.shape == batch.shape and np.isnan(out[2]).all()
+    for i in (0, 1, 3, 4):
+        alone = solve_implicit(model, 2.0 / 3.0, h, batch[i], cfg)
+        assert out[i].tobytes() == alone.tobytes(), i
 
 
 def singular_at_origin(model: SdeModel, bh: float) -> SdeModel:
