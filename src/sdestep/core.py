@@ -51,6 +51,17 @@ class TimeGrid:
         return np.arange(self.N + 1) * self.h
 
 
+def _const(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, for an operand settled once per run.
+
+    A numpy ufunc takes a 0-d float64 array operand faster than a Python
+    float (it skips the scalar conversion) and gives the same bits.
+    """
+    out = np.array(value, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 def _require_positive_finite(**values: float) -> None:
     """Reject the first value that is not a positive finite real, naming it."""
     for name, value in values.items():

@@ -104,7 +104,7 @@ class ExperimentConfig:
     model: SdeModel
     x0: tuple[float, ...]
     T: float = 1.0
-    schemes: tuple[str, ...] = ("eulm", "bem", "bdf2")
+    schemes: tuple[str, ...] = tuple(SCHEME_COEFFS)
     levels: tuple[int, ...] = _DEFAULT_LEVELS
     samples: int = 10_000
     ref_steps: int = 25 * 2**12

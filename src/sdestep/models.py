@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SdeModel, _require_count, _require_positive_finite
-from .schemes import closed_form_32vol
+from .core import SdeModel, _const, _require_count, _require_positive_finite
+from .schemes import _closed_form_32vol_solver
 
 __all__ = [
     "ThreeHalvesVol",
@@ -77,6 +77,9 @@ class ThreeHalvesVol:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be a positive finite real, got {self.lam}")
         _check_sigma(self)
+        # the drift's and diffusion's operands, settled once (not fields: eq and repr keep theirs)
+        object.__setattr__(self, "_lam", _const(self.lam))
+        object.__setattr__(self, "_sigma", _const(self.sigma))
 
     @property
     def in_theory(self) -> bool:
@@ -89,17 +92,17 @@ class ThreeHalvesVol:
         return self.lam / (2.0 * self.sigma**2)
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        return x - self.lam * x * np.abs(x)
+        return x - self._lam * x * np.abs(x)
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
         ax = np.abs(x)
-        return (self.sigma * ax * np.sqrt(ax))[..., None]
+        return (self._sigma * ax * np.sqrt(ax))[..., None]
 
     def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
         return (1.0 - 2.0 * self.lam * np.abs(x))[..., None]
 
     def closed_form_implicit(self, beta: float, h: float, R: np.ndarray) -> np.ndarray:
-        return closed_form_32vol(self.lam, self.sigma, beta, h, R)
+        return _closed_form_32vol_solver(self.lam, beta, h)(R)
 
     def as_sde_model(self) -> SdeModel:
         return SdeModel(

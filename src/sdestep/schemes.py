@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .core import BACKWARD_EULER, BDF2, GridFunction, SchemeCoefficients, SdeModel, TimeGrid
-from .core import _require_count
+from .core import _const, _require_count
 from .brownian import IncrementTable
 
 __all__ = [
@@ -160,12 +160,24 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     ``sigma`` is accepted for signature symmetry with the model family
     but plays no role: the diffusion is handled explicitly by the schemes.
 
-    Works elementwise on arrays; scalar input yields a float.
+    Works elementwise on arrays; scalar input yields a float.  The checks,
+    the branch and the constants are settled once per ``(lam, beta, h)``
+    (:func:`_closed_form_32vol_solver`).
+    """
+    return _closed_form_32vol_solver(lam, beta, h)(R)
+
+
+@lru_cache
+def _closed_form_32vol_solver(lam: float, beta: float, h: float):
+    """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
+
+    Checks ``beta*h*lam > 0`` and the finiteness of ``c``, picks the branch
+    and holds its constants as read-only 0-d float64 arrays (``solve.args``),
+    so a call does only the array arithmetic, in the order of the formula.
     """
     bh = beta * h
     if not (bh * lam > 0.0):
         raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")
-    R = np.asarray(R, dtype=float)
     c = float((1.0 - bh) / (2.0 * bh * lam))
     if not math.isfinite(c):
         raise ValueError(
@@ -173,11 +185,22 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
             f"(1 - beta*h)/(2*beta*h*lam) overflows at beta*h*lam={bh * lam}"
         )
     if math.isfinite(c * c):
-        a = np.abs(R) / (bh * lam)
-        x = np.sign(R) * (a / (c + np.sqrt(c * c + a)))
-    else:
-        q = 2.0 * np.abs(R) / (1.0 - bh)
-        x = np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
+        return partial(_rationalized_root, _const(bh * lam), _const(c), _const(c * c))
+    return partial(_divided_root, _const(1.0 - bh), _const(c))
+
+
+def _rationalized_root(bh_lam: np.ndarray, c: np.ndarray, c_squared: np.ndarray, R):
+    # np.sign, not np.copysign: sign(-0.0) is +0.0, so a zero root stays +0
+    R = np.asarray(R, dtype=float)
+    a = np.abs(R) / bh_lam
+    x = np.sign(R) * (a / (c + np.sqrt(c_squared + a)))
+    return float(x) if x.ndim == 0 else x
+
+
+def _divided_root(one_minus_bh: np.ndarray, c: np.ndarray, R):
+    R = np.asarray(R, dtype=float)
+    q = 2.0 * np.abs(R) / one_minus_bh
+    x = np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
     return float(x) if x.ndim == 0 else x
 
 
@@ -287,6 +310,7 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     return x_prev + h * model.drift(x_prev) + _apply_noise(model.diffusion(x_prev), dW)
 
 
+@lru_cache
 def _rhs_terms(coeffs: SchemeCoefficients, h: float) -> tuple:
     """The right-hand side R of a k-step recursion as per-state operand lists.
 
@@ -295,11 +319,14 @@ def _rhs_terms(coeffs: SchemeCoefficients, h: float) -> tuple:
     and ``f_i = f(U_i)``.  It is ``(a, rest)``: the factor ``-alpha_i`` on
     U_i, then ``(slot, factor)`` pairs for ``h beta_i`` on f_i and
     ``gamma_i`` on n_i where those are non-zero.  A factor of exactly 1 is
-    stored as None and not multiplied, since ``x * 1.0 == x`` bit for bit.
+    stored as None and not multiplied, since ``x * 1.0 == x`` bit for bit;
+    any other is a read-only 0-d float64 array (:func:`core._const`).  The
+    terms are cached per ``(coeffs, h)``, as ``step_lmm`` asks for them on
+    every step.
     """
 
     def factor(value: float):
-        return None if value == 1.0 else value
+        return None if value == 1.0 else _const(value)
 
     terms = []
     for i in range(coeffs.k):

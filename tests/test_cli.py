@@ -109,11 +109,15 @@ def test_simulate_multidimensional_header_and_file_output(tmp_path, capsys):
          "414225534443b8c7c51b5b3db34e35d3a3c96395b3feed5c0dff5702892a8056"),
         (["--model", "vol32", "--scheme", "eulm", "--steps", "300", "--seed", "3"],
          "febba9941c9f7be32885c7ccdc70a8a500af24d03c6103ef3ea12745b26dc8ea"),
+        # explicit Euler blows up: rows such as 1.807658285e+277, -inf and nan
+        (["--model", "vol32", "--scheme", "eulm", "--lambda", "25", "--sigma", "2", "--x0", "3",
+          "--steps", "25", "--seed", "1"],
+         "b0460a62cabac8a50d32ec8b745679e74c70e9d4d81929086668347a702fef08"),
     ],
-    ids=["vol32-bdf2", "vol32-bdf2-copy", "toy2d-bdf2-newton", "vol32-eulm"],
+    ids=["vol32-bdf2", "vol32-bdf2-copy", "toy2d-bdf2-newton", "vol32-eulm", "vol32-eulm-nonfinite"],
 )
 def test_simulate_paths_are_pinned(argv, digest, tmp_path):
-    """The rendered paths of four small runs, pinned by SHA-256: their digits move only on purpose."""
+    """The rendered paths of five small runs, pinned by SHA-256: their digits move only on purpose."""
     out = tmp_path / "path.csv"
     assert main(["simulate", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -30,7 +30,7 @@ from sdestep import (
     step_lmm,
 )
 from sdestep.brownian import IncrementTable
-from sdestep.schemes import _solve_linear
+from sdestep.schemes import _closed_form_32vol_solver, _rhs_terms, _solve_linear
 
 VOL32_PARAMS, VOL32 = make_model("vol32", 4.0, 1.0)
 TOY_PARAMS, TOY = make_model("toy2d", 96.0, 0.47)
@@ -207,6 +207,59 @@ def test_closed_form_32vol_where_c_squared_overflows_agrees_with_newton(h):
 def test_closed_form_32vol_names_a_step_too_small_for_its_formula():
     with pytest.raises(ValueError, match=r"h=1e-320\b"):
         closed_form_32vol(4.0, 1.0, 1.0, 1e-320, 1.0)
+
+
+def _closed_form_per_call(lam, beta, h, R):
+    """The closed form as evaluated before its constants were settled: Python-float operands."""
+    bh = beta * h
+    R = np.asarray(R, dtype=float)
+    c = float((1.0 - bh) / (2.0 * bh * lam))
+    if np.isfinite(c * c):
+        a = np.abs(R) / (bh * lam)
+        return np.sign(R) * (a / (c + np.sqrt(c * c + a)))
+    q = 2.0 * np.abs(R) / (1.0 - bh)
+    return np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
+
+
+def _random_rhs(rng, n=257):
+    R = rng.standard_normal((n, 1)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+    R[:6, 0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    return R
+
+
+@pytest.mark.parametrize("h", [0.01, 1e-156])
+def test_settled_closed_form_is_the_per_call_formula_bitwise(h):
+    # h=1e-156 takes the branch where c*c overflows; the second round hits the cache
+    rng = np.random.default_rng(13)
+    models = (make_model("vol32", 4.0, 1.0)[0], make_model("vol32", 30.0, 2.0)[0])
+    beta = 2.0 / 3.0
+    with np.errstate(invalid="ignore"):
+        for _round in range(2):
+            for params in models:  # alternating lambdas share no settled constants
+                R = _random_rhs(rng)
+                want = _closed_form_per_call(params.lam, beta, h, R)
+                hits = _closed_form_32vol_solver.cache_info().hits
+                got = params.closed_form_implicit(beta, h, R)
+                assert _round == 0 or _closed_form_32vol_solver.cache_info().hits == hits + 1
+                assert got.tobytes() == want.tobytes()
+                assert closed_form_32vol(params.lam, 9.0, beta, h, R).tobytes() == want.tobytes()
+                x = params.closed_form_implicit(beta, h, float(R[7, 0]))
+                assert isinstance(x, float) and x == want[7, 0]
+
+
+def test_settled_operands_are_read_only_float64_scalars():
+    params = make_model("vol32", 4.0, 1.0)[0]
+    settled = [*_closed_form_32vol_solver(4.0, 1.0, 0.01).args,
+               *_closed_form_32vol_solver(4.0, 1.0, 1e-156).args,
+               params._lam, params._sigma]
+    settled += [a for a, rest in _rhs_terms(BDF2, 0.01) if a is not None]
+    assert len(settled) == 9
+    for value in settled:
+        assert value.shape == () and value.dtype == np.float64
+        with pytest.raises(ValueError):
+            value[()] = 1.0
+    assert repr(params) == "ThreeHalvesVol(lam=4.0, sigma=1.0)"
+    assert params == make_model("vol32", 4.0, 1.0)[0]
 
 
 # -------------------------------------------------------------- solve_implicit
