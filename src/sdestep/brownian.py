@@ -75,25 +75,35 @@ class IncrementTable:
         return self.increments.sum(axis=0)
 
 
-def _draw_rows(generators, rows: int, noise_dim: int, h: float) -> np.ndarray:
-    """The next ``rows`` N(0, h) increments of each stream, time-major ``(rows, B, d)``.
+def _draw_rows(generators, blocks: np.ndarray, fine: np.ndarray, h: float) -> np.ndarray:
+    """Fill ``fine`` with the next N(0, h) increments of each stream and return it.
 
-    Each generator fills its own ``(rows, d)`` block row-major, so drawing a
-    stream in chunks gives the same numbers as drawing it at once.
+    ``blocks`` is a generator-major ``(B, rows, d)`` buffer and ``fine`` a
+    time-major ``(rows, B, d)`` one.  Generator i fills its own ``(rows, d)``
+    block row-major, so drawing a stream in chunks gives the same numbers as
+    drawing it at once; one transposing multiply then scales all blocks.
     """
-    normals = np.stack([g.standard_normal((rows, noise_dim)) for g in generators], axis=1)
-    return normals * np.sqrt(h)
+    for g, block in zip(generators, blocks):
+        g.standard_normal(out=block)
+    return np.multiply(blocks.transpose(1, 0, 2), np.sqrt(h), out=fine)
 
 
-def _coarsen_rows(fine: np.ndarray, factor: int) -> np.ndarray:
+def _coarsen_rows(fine: np.ndarray, factor: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """Sums of consecutive slabs of ``factor`` rows of a time-major array.
 
     Output row j is fine rows j*factor .. (j+1)*factor - 1 added in ascending
-    index order, one slab at a time, whatever the trailing shape.
+    index order, one slab at a time, whatever the trailing shape.  A
+    ``prefix`` holds these sums for a divisor g of ``factor`` (``_coarsen_rows(fine, g)``):
+    each block then starts from its first g rows' sum and adds slabs g .. factor - 1,
+    the same additions in the same order.
     """
     blocks = fine.reshape(fine.shape[0] // factor, factor, *fine.shape[1:])
-    out = blocks[:, 0].copy()
-    for i in range(1, factor):
+    if prefix is None:
+        start, out = 1, blocks[:, 0].copy()
+    else:
+        start = fine.shape[0] // prefix.shape[0]
+        out = prefix[::factor // start].copy()
+    for i in range(start, factor):
         out += blocks[:, i]
     return out
 
@@ -106,7 +116,9 @@ def generate_increments(grid: TimeGrid, noise_dim: int, seed: SeedSpec) -> Incre
     never on how many other samples are being generated concurrently.
     """
     _require_count(1, noise_dim=noise_dim)
-    inc = _draw_rows([seed.generator()], grid.N, noise_dim, grid.h)[:, 0]
+    # with one stream both layouts are the same memory, so the draw scales in place
+    blocks = np.empty((1, grid.N, noise_dim))
+    inc = _draw_rows([seed.generator()], blocks, blocks.transpose(1, 0, 2), grid.h)[:, 0]
     return IncrementTable(grid=grid, noise_dim=noise_dim, increments=inc)
 
 

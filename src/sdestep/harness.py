@@ -384,7 +384,11 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     increments, time-major with shape (N_l, B, d).  A chunk is the lcm of
     the coarsening factors, which divides ``ref_steps``, so every chunk
     coarsens whole.  Noise is drawn and coarsened by the bodies
-    :func:`brownian.generate_increments` and :func:`brownian.coarsen` use.
+    :func:`brownian.generate_increments` and :func:`brownian.coarsen` use:
+    each chunk is drawn into the same two buffers, and the factors are
+    coarsened in ascending order, each from the sums of its largest
+    divisor among the smaller factors.  Steps run in groups of the gcd of
+    the factors, the spacing of the snapshot positions.
     """
     model = config.model
     B = hi - lo
@@ -403,21 +407,29 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     coarse_incs = {n: np.empty((n, B, d)) for n in config.levels}
     for n in config.levels:
         snapshots[n][:, 0, :] = x0
+    # each factor continues from the sums of its largest divisor among the smaller factors
+    level_of = {f: n for n, f in factors.items()}
+    divisor = {f: max((g for g in level_of if g < f and f % g == 0), default=None)
+               for f in sorted(level_of)}
+    blocks = np.empty((B, chunk, d))
+    fine_chunk = np.empty((chunk, B, d))
 
     coeffs = SCHEME_COEFFS[config.reference_scheme]
     stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, config.second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for consumed in range(0, ref_steps, chunk):
-            fine_chunk = _draw_rows(gens, chunk, d, h_fine)
-            for n, f in factors.items():
-                coarse_incs[n][consumed // f:(consumed + chunk) // f] = _coarsen_rows(fine_chunk, f)
-            for t in range(chunk):
-                x = stepper.advance(fine_chunk[t])
-                g_step = consumed + t + 1
-                if g_step % gcd_all == 0:
-                    for n, f in factors.items():
-                        if g_step % f == 0:
-                            snapshots[n][:, g_step // f, :] = x
+            _draw_rows(gens, blocks, fine_chunk, h_fine)
+            sums = {}
+            for f, g in divisor.items():
+                sums[f] = _coarsen_rows(fine_chunk, f, sums.get(g))
+                coarse_incs[level_of[f]][consumed // f:(consumed + chunk) // f] = sums[f]
+            for t in range(0, chunk, gcd_all):
+                for dW in fine_chunk[t:t + gcd_all]:
+                    x = stepper.advance(dW)
+                g_step = consumed + t + gcd_all
+                for n, f in factors.items():
+                    if g_step % f == 0:
+                        snapshots[n][:, g_step // f, :] = x
     return snapshots, coarse_incs
 
 

@@ -19,6 +19,7 @@ from sdestep import (
     load_increments,
     make_model,
 )
+from sdestep.brownian import _coarsen_rows
 
 
 def test_seed_spec_validation():
@@ -181,6 +182,23 @@ def test_coarsen_two_stage_agrees_with_direct():
     direct = coarsen(table, 4).increments
     assert two_stage.shape == direct.shape == (128, 2)
     assert np.all(np.abs(two_stage - direct) <= 1e-15 * (1.0 + np.abs(direct)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_coarsening_from_a_divisor_prefix_is_bitwise_equal_to_direct(d):
+    """Continuing from the sums of a divisor g of f does f's additions in f's order."""
+    fine = np.random.default_rng(4).standard_normal((48, 3, d))
+    fine[12:24, 1] = -0.0  # sums to -0.0 only when a block starts from its first row, not +0.0
+    fine[2, 0, -1] = np.nan
+    fine[9, 1, -1], fine[10, 1, -1] = np.inf, -np.inf  # inf - inf in every block of f >= 3
+    fine[17, 2, -1] = -np.inf
+    fine[40, 2, 0] = 5e-324
+    divisors = (1, 2, 3, 4, 6, 12)
+    for f in divisors:
+        direct = _coarsen_rows(fine, f).tobytes()
+        for g in [g for g in divisors if f % g == 0]:
+            assert _coarsen_rows(fine, f, _coarsen_rows(fine, g)).tobytes() == direct
 
 
 def test_coarsen_matches_ascending_python_sum():

@@ -10,6 +10,7 @@ import pytest
 from sdestep import (
     ErrorTable,
     ExperimentConfig,
+    GridFunction,
     SdeModel,
     SeedSpec,
     StepSizeError,
@@ -177,7 +178,9 @@ def _multi_chunk_config(model, x0, levels=(25, 50), ref_steps=400, **kw):
     )
 
 
-# levels (40, 50) do not nest: factors 5 and 4 give 20-step chunks, larger than either factor
+# levels (40, 50) do not nest: factors 5 and 4 give 20-step chunks, larger than either factor.
+# Factors 12, 6, 4, 2 nest in part: 12 continues from 6's sums, 6 and 4 from 2's.
+# Levels (50, 100, 200) at ref_steps 200 include factor 1, from whose sums factor 2 continues.
 _ENGINE_CASES = pytest.mark.parametrize(
     "model,x0,levels,ref_steps",
     [
@@ -185,8 +188,13 @@ _ENGINE_CASES = pytest.mark.parametrize(
         (TOY, (2.0, 3.0), (25, 50), 400),
         (VOL32, (1.0,), (40, 50), 200),
         (TOY, (2.0, 3.0), (40, 50), 200),
+        (VOL32, (1.0,), (25, 50, 75, 150), 300),
+        (TOY, (2.0, 3.0), (25, 50, 75, 150), 300),
+        (VOL32, (1.0,), (50, 100, 200), 200),
+        (TOY, (2.0, 3.0), (50, 100, 200), 200),
     ],
-    ids=["vol32", "toy2d", "vol32-unnested", "toy2d-unnested"],
+    ids=["vol32", "toy2d", "vol32-unnested", "toy2d-unnested", "vol32-part-nested",
+         "toy2d-part-nested", "vol32-factor-1", "toy2d-factor-1"],
 )
 
 
@@ -407,6 +415,29 @@ def test_noise_free_errors_do_not_depend_on_sample_count():
         for s in ("bem", "bdf2"):
             a, b = one.cell(n, s).error, three.cell(n, s).error
             assert abs(a - b) <= 1e-12 * a
+
+
+def _logistic_path(lam: float, x0: float, grid):
+    # at sigma = 0 the 3/2-volatility equation is the logistic ODE x' = x - lam*x^2
+    growth = np.exp(grid.times())
+    return GridFunction(grid, (x0 * growth / (1.0 + lam * x0 * (growth - 1.0)))[:, None])
+
+
+@pytest.mark.parametrize("lam", [4.0, 25.0])
+def test_noise_free_study_errors_match_errors_against_the_exact_solution(lam):
+    """The numerical reference is close enough to the exact path that every cell agrees
+    to 2e-3 (relative) with the error measured against that path."""
+    _, model = make_model("vol32", lam, 0.0)
+    cfg = ExperimentConfig(model=model, x0=(1.0,), schemes=("bem", "bdf2"),
+                           levels=tuple(25 * 2**k for k in range(6)), samples=1,
+                           ref_steps=25_600, base_seed=9)
+    table = run_convergence_study(cfg)
+    exact = [_logistic_path(lam, 1.0, cfg.fine_grid)]
+    for scheme in cfg.schemes:
+        for n in cfg.levels:
+            want, exploded = strong_error(cfg, scheme, n, exact)
+            assert exploded == 0 and table.cell(n, scheme).exploded == 0
+            assert abs(table.cell(n, scheme).error - want) <= 2e-3 * want
 
 
 def test_noise_free_orders_match_the_deterministic_methods():
