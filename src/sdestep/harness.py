@@ -21,6 +21,10 @@ Reproducibility rules baked in here:
   on its own noise, so a pass steps its rows together and then reduces
   each batch's rows on their own: the partials do not depend on how
   batches are grouped into passes;
+* within a pass each scheme steps every level in lockstep, as one stepper
+  over all levels' rows (longest level first, one step size per level)
+  that is narrowed to the levels still running as the coarse ones finish;
+  rows never mix, so each level keeps the bits of a run of its own;
 * a sample with anything non-finite in its squared norms counts as
   exploded (exploded = samples - valid) and adds zeros; a table number is
   the largest root-mean-square over the grid points (NaN without a valid
@@ -52,6 +56,7 @@ from .core import (
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
     _apply_noise,
+    _stability_warnings,
     _Stepper,
     integrate,
     step_bdf2,
@@ -263,8 +268,9 @@ def strong_error(
                 factor).increments
         for idx in range(len(references))
     ], axis=1)
-    ref_states = np.stack([ref.states[::factor] for ref in references])
-    devsq = _deviations(config, scheme, increments, ref_states)
+    ref_states = np.stack([ref.states[::factor] for ref in references], axis=1)
+    _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n_steps).h)
+    devsq = _level_deviations(config, scheme, {n_steps: increments}, {n_steps: ref_states})[n_steps]
     partials = [{n_steps: _masked_sums(devsq[i:i + 1])} for i in range(len(references))]
     (total,), valid = _kahan_merge(partials)[n_steps]
     return _rms_max(total, valid), len(references) - valid
@@ -379,16 +385,20 @@ def _map_batches(config: ExperimentConfig, pass_fn) -> list:
 def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     """Integrate the fine reference for samples [lo, hi) in time chunks.
 
-    Returns ``(snapshots, coarse_incs)``: per level, the reference states
-    restricted to the level grid, shape (B, N_l+1, m), and the coarsened
-    increments, time-major with shape (N_l, B, d).  A chunk is the lcm of
-    the coarsening factors, which divides ``ref_steps``, so every chunk
-    coarsens whole.  Noise is drawn and coarsened by the bodies
-    :func:`brownian.generate_increments` and :func:`brownian.coarsen` use:
-    each chunk is drawn into the same two buffers, and the factors are
-    coarsened in ascending order, each from the sums of its largest
-    divisor among the smaller factors.  Steps run in groups of the gcd of
-    the factors, the spacing of the snapshot positions.
+    Returns ``(snapshots, coarse_incs)``, per level and both time-major: the
+    reference states on the level grid, shape (N_l+1, B, m), so the
+    reference rows of one step are one contiguous block, and the coarsened
+    increments, shape (N_l, B, d).  A level whose grid lies inside a finer
+    level's grid holds a strided view of the largest such level's array;
+    only levels that divide no finer level own their states and are
+    written while stepping.  A chunk is the lcm of the coarsening factors,
+    which divides ``ref_steps``, so every chunk coarsens whole.  Noise is
+    drawn and coarsened by the bodies :func:`brownian.generate_increments`
+    and :func:`brownian.coarsen` use: each chunk is drawn into the same two
+    buffers, and the factors are coarsened in ascending order, each from
+    the sums of its largest divisor among the smaller factors.  Steps run
+    in groups of the gcd of the factors, the spacing of the snapshot
+    positions.
     """
     model = config.model
     B = hi - lo
@@ -403,10 +413,13 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(lo, hi)]
     x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
 
-    snapshots = {n: np.empty((B, n + 1, m)) for n in config.levels}
+    # each level's states live in the array of the largest level its grid lies in
+    owner = {n: max(k for k in config.levels if k % n == 0) for n in config.levels}
+    owned = {n: np.empty((n + 1, B, m)) for n in config.levels if owner[n] == n}
+    for states in owned.values():
+        states[0] = x0
+    snapshots = {n: owned[owner[n]][::owner[n] // n] for n in config.levels}
     coarse_incs = {n: np.empty((n, B, d)) for n in config.levels}
-    for n in config.levels:
-        snapshots[n][:, 0, :] = x0
     # each factor continues from the sums of its largest divisor among the smaller factors
     level_of = {f: n for n, f in factors.items()}
     divisor = {f: max((g for g in level_of if g < f and f % g == 0), default=None)
@@ -427,47 +440,77 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
                 for dW in fine_chunk[t:t + gcd_all]:
                     x = stepper.advance(dW)
                 g_step = consumed + t + gcd_all
-                for n, f in factors.items():
-                    if g_step % f == 0:
-                        snapshots[n][:, g_step // f, :] = x
+                for n, states in owned.items():
+                    if g_step % factors[n] == 0:
+                        states[g_step // factors[n]] = x
     return snapshots, coarse_incs
 
 
-def _deviations(config: ExperimentConfig, scheme: str, increments: np.ndarray,
-                ref_states: np.ndarray) -> np.ndarray:
-    """Squared deviations ``(B, n+1)`` of a scheme from reference states ``(B, n+1, m)``.
+#: Lockstep steps whose states are kept at once before their deviations are taken.
+_SPAN_STEPS = 32
 
-    The scheme starts every row from ``config.x0`` and steps the time-major
-    increments ``(n, B, d)`` on the grid of n steps; column j is
-    ``|x_j - ref_states[:, j]|^2``, column 0 included.
+
+def _level_deviations(config: ExperimentConfig, scheme: str, coarse_incs: dict,
+                      snapshots: dict) -> dict:
+    """Squared deviations ``{n: (B, n+1)}`` of one scheme from the reference at each level.
+
+    ``coarse_incs[n]`` are a level's increments, time-major (n, B, d), and
+    ``snapshots[n]`` the reference on its grid, time-major (n+1, B, m).
+    One stepper runs every level's rows, stacked level-major with the
+    longest level first, each block at its own step size and starting from
+    ``config.x0``: one ``advance`` moves every level still running.  When a
+    level ends, the stepper is narrowed to the rows of the levels still
+    running.  States are kept for spans of at most ``_SPAN_STEPS`` steps
+    and turned into deviations span by span.  Column j of a level's array
+    is ``|x_j - ref_j|^2``, column 0 included.
     """
-    n, B, _ = increments.shape
-    x0 = np.broadcast_to(np.asarray(config.x0), (B, config.model.state_dim))
+    levels = sorted(coarse_incs, reverse=True)
+    B = coarse_incs[levels[0]].shape[1]
+    m = config.model.state_dim
+    x0 = np.broadcast_to(np.asarray(config.x0, dtype=float), (len(levels) * B, m))
+    h = tuple(config.level_grid(n).h for n in levels)
+    # a single level steps with the scalar operands of a stepper of its own
     stepper = _Stepper(config.model, SCHEME_COEFFS[scheme], config.solver,
-                       config.level_grid(n).h, x0, config.second_init)
-    devsq = np.empty((B, n + 1))
+                       h if len(h) > 1 else h[0], x0, config.second_init)
+    devsq = {n: np.empty((B, n + 1)) for n in levels}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dev = x0 - ref_states[:, 0, :]
-        devsq[:, 0] = np.sum(dev * dev, axis=-1)
-        for j, dW in enumerate(increments, 1):
-            dev = stepper.advance(dW) - ref_states[:, j, :]
-            devsq[:, j] = np.sum(dev * dev, axis=-1)
+        for n in levels:
+            dev = x0[:B] - snapshots[n][0]
+            devsq[n][:, 0] = np.sum(dev * dev, axis=-1)
+        done = 0
+        for running in range(len(levels), 0, -1):
+            if running < len(levels):
+                stepper.narrow(running * B)
+            end = levels[running - 1]  # the shortest running level ends here
+            for lo in range(done, end, _SPAN_STEPS):
+                hi = min(lo + _SPAN_STEPS, end)
+                dW = np.concatenate([coarse_incs[n][lo:hi] for n in levels[:running]], axis=1)
+                states = np.empty((hi - lo,) + stepper.x.shape)
+                for t, dw in enumerate(dW):
+                    states[t] = stepper.advance(dw)
+                for i, n in enumerate(levels[:running]):
+                    states[:, i * B:(i + 1) * B] -= snapshots[n][lo + 1:hi + 1]
+                sq = np.sum(np.multiply(states, states, out=states), axis=-1)
+                for i, n in enumerate(levels[:running]):
+                    devsq[n][:, lo + 1:hi + 1] = sq[:, i * B:(i + 1) * B].T
+            done = end
     return devsq
 
 
 def _study_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
     """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations.
 
-    The reference and every (level, scheme) stepper run once over all rows
-    of the pass; each batch's rows are then reduced on their own.
+    The reference and, per scheme, one lockstep stepper over every level
+    run once over all rows of the pass; each batch's rows are then reduced
+    on their own.
     """
     lo, hi = batches[0][0], batches[-1][1]
     snapshots, coarse_incs = _reference_pass(config, lo, hi)
 
     out = [{} for _ in batches]
-    for n in config.levels:
-        for scheme in config.schemes:
-            devsq = _deviations(config, scheme, coarse_incs[n], snapshots[n])
+    for scheme in config.schemes:
+        # the loop holds one scheme's deviations at a time
+        for n, devsq in _level_deviations(config, scheme, coarse_incs, snapshots).items():
             for part, (blo, bhi) in zip(out, batches):
                 part[(n, scheme)] = _masked_sums(devsq[blo - lo:bhi - lo])
     return out
@@ -482,8 +525,13 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     coarsened noise.  The per-gridpoint squared deviations are summed per
     batch and merged across batches with compensated summation in batch
     order.  The result is a deterministic function of the config alone —
-    thread count only spreads passes over workers.
+    thread count only spreads passes over workers.  Each (scheme, step size)
+    above the stricter stability bounds, the reference's included, warns
+    once, before the first pass.
     """
+    for scheme, n in dict.fromkeys([(config.reference_scheme, config.ref_steps),
+                                    *((s, n) for n in config.levels for s in config.schemes)]):
+        _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n).h)
     merged = _kahan_merge(_map_batches(config, _study_pass))
 
     rows = []
@@ -586,8 +634,9 @@ def _residual_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in config.levels:
             h = config.level_grid(n).h
+            states = np.ascontiguousarray(snapshots[n].swapaxes(0, 1))
             increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
-            one, pair = residual_defects(model, snapshots[n], increments, h)
+            one, pair = residual_defects(model, states, increments, h)
             one_sq, pair_sq = np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1)
             for part, (blo, bhi) in zip(out, batches):
                 rows = slice(blo - lo, bhi - lo)
@@ -608,6 +657,7 @@ def estimate_residuals(config: ExperimentConfig) -> ResidualReport:
             "residual estimation needs at least 100 samples for a stable "
             f"Monte Carlo norm, got {config.samples}"
         )
+    _stability_warnings(config.model, SCHEME_COEFFS[config.reference_scheme], config.fine_grid.h)
     merged = _kahan_merge(_map_batches(config, _residual_pass))
 
     bem_max, pair_max, hs = [], [], []

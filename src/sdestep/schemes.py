@@ -102,7 +102,8 @@ def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -
 
     The literature states two inequivalent step-size restrictions for each
     scheme family; neither affects well-posedness, so both candidates are
-    reported and the run proceeds.
+    reported and the run proceeds.  Callers warn once per run, before they
+    step, so the warning points at their own caller.
     """
     if not coeffs.implicit:
         return
@@ -119,7 +120,7 @@ def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -
             f"{min(candidates):g} / {max(candidates):g} for the {coeffs.k}-step scheme; "
             "error bounds may not apply",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
@@ -241,20 +242,45 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
-def _newton_solve(drift, jacobian, eye: np.ndarray, bh: float, iterations: int, R: np.ndarray):
+def _newton_solve(drift, jacobian, eye: np.ndarray, bh, bh_jacobian, iterations: int,
+                  R: np.ndarray):
     """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R.
 
-    :func:`_solve_core` binds f, its Jacobian and the identity once.  Each update
-    makes one call of each and of :func:`_solve_linear`: most of a Newton study's time.
+    :func:`_solve_core` binds f, its Jacobian, the identity and beta*h once:
+    ``bh`` multiplies f(x) and ``bh_jacobian`` the Jacobian, one float for both
+    or per-row operands shaped like each.  Each update makes one call of f, of
+    its Jacobian and of :func:`_solve_linear`: most of a Newton study's time.
     """
     x = R
     for _ in range(iterations):
         phi = x - bh * drift(x) - R
-        x = x - _solve_linear(eye - bh * jacobian(x), phi)
+        x = x - _solve_linear(eye - bh_jacobian * jacobian(x), phi)
     return x
 
 
-def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfig):
+def _newton_rows(drift, jacobian, eye: np.ndarray, bh: np.ndarray, bh_jacobian: np.ndarray,
+                 iterations: int, R: np.ndarray):
+    """:func:`_newton_solve` over the first ``len(R)`` rows of the per-row operands."""
+    rows = len(R)
+    return _newton_solve(drift, jacobian, eye, bh[:rows], bh_jacobian[:rows], iterations, R)
+
+
+def _solve_blocks(solves: tuple, block_rows: int, R: np.ndarray) -> np.ndarray:
+    """Each block of ``block_rows`` rows of R through its own solve, for the blocks R holds."""
+    x = np.empty(R.shape)
+    for i in range(0, len(R), block_rows):
+        x[i:i + block_rows] = solves[i // block_rows](R[i:i + block_rows])
+    return x
+
+
+def _per_row(values, block_rows: int, shape: tuple) -> np.ndarray:
+    """``values[i]`` on every row of block i: an array ``(len(values) * block_rows, *shape)``."""
+    values = np.asarray(values, dtype=float)
+    return np.repeat(values, block_rows * math.prod(shape)).reshape((-1,) + shape)
+
+
+def _solve_core(model: SdeModel, beta: float, h, cfg: ImplicitSolverConfig,
+                block_rows: int = 1):
     """Check the step equation x - h*beta*f(x) = R once and return ``solve(R)``.
 
     Raises for ``beta <= 0``, an ``h`` that is not a positive finite real,
@@ -264,16 +290,26 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
     or :func:`_newton_solve` itself, for R of shape ``(m,)`` or ``(B, m)``.
     A non-finite row (or single state) runs through its arithmetic and
     comes back non-finite; rows are independent, so the others keep their bits.
+
+    ``h`` may also be a tuple, one step size per block of ``block_rows``
+    consecutive rows, each checked as above.  ``solve(R)`` then takes the
+    rows of those blocks or of a prefix of whole blocks: the closed form runs
+    once per block, as ``closed_form_implicit`` takes one h, and Newton once
+    over all rows, with beta*h as per-row operands of the shapes of f,
+    ``(rows, m)``, and of its Jacobian, ``(rows, m, m)``.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise StepSizeError(f"step size must be a positive finite real, got {h}")
-    if cfg.enforce_step_bound and not (h * beta * model.L < 1.0):
-        raise StepSizeError(
-            f"h*beta*L = {h * beta * model.L} outside (0, 1); the implicit step is not"
-            " guaranteed well-posed (turn off enforce_step_bound to run anyway)"
-        )
+    blocks = isinstance(h, tuple)
+    steps = h if blocks else (h,)
+    for step in steps:
+        if not (step > 0.0 and math.isfinite(step)):
+            raise StepSizeError(f"step size must be a positive finite real, got {step}")
+        if cfg.enforce_step_bound and not (step * beta * model.L < 1.0):
+            raise StepSizeError(
+                f"h*beta*L = {step * beta * model.L} outside (0, 1); the implicit step is not"
+                " guaranteed well-posed (turn off enforce_step_bound to run anyway)"
+            )
     mode = cfg.mode
     if mode == "auto":
         mode = "closed_form" if model.closed_form_implicit is not None else "newton"
@@ -281,11 +317,20 @@ def _solve_core(model: SdeModel, beta: float, h: float, cfg: ImplicitSolverConfi
         raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
-        return partial(model.closed_form_implicit, beta, h)
+        if not blocks:
+            return partial(model.closed_form_implicit, beta, h)
+        solves = tuple(partial(model.closed_form_implicit, beta, step) for step in steps)
+        return partial(_solve_blocks, solves, block_rows)
     if model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
-    return partial(_newton_solve, model.drift, model.drift_jacobian,
-                   np.eye(model.state_dim), beta * h, cfg.newton_iterations)
+    m = model.state_dim
+    if not blocks:
+        return partial(_newton_solve, model.drift, model.drift_jacobian, np.eye(m),
+                       beta * h, beta * h, cfg.newton_iterations)
+    bh = [beta * step for step in steps]
+    return partial(_newton_rows, model.drift, model.drift_jacobian, np.eye(m),
+                   _per_row(bh, block_rows, (m,)), _per_row(bh, block_rows, (m, m)),
+                   cfg.newton_iterations)
 
 
 def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolverConfig):
@@ -324,8 +369,19 @@ def _rhs_terms(coeffs: SchemeCoefficients, h: float) -> tuple:
     terms are cached per ``(coeffs, h)``, as ``step_lmm`` asks for them on
     every step.
     """
+    return _rhs_operands(coeffs, h)
 
-    def factor(value: float):
+
+def _rhs_operands(coeffs: SchemeCoefficients, h) -> tuple:
+    """:func:`_rhs_terms`, uncached, for ``h`` a float or a per-row array ``(rows, m)``.
+
+    With an array, each ``h beta_i`` is a per-row operand of its shape (it is
+    multiplied even where it is 1); the other factors do not depend on h.
+    """
+
+    def factor(value):
+        if np.ndim(value):
+            return value
         return None if value == 1.0 else _const(value)
 
     terms = []
@@ -430,14 +486,20 @@ class _Stepper:
     """Advances one k-step recursion over a state ``(m,)`` or a batch ``(B, m)``.
 
     What does not change from step to step is settled at construction:
-    each implicit solve that will run (with its step bound), the stability
-    warning, and R as per-state operand lists (:func:`_rhs_terms`).  The
-    history keeps, per old state, the state, its noise product g(U) dW
-    and, only when some beta_i (i < k) is non-zero, its drift; so each
-    step evaluates the diffusion once and BDF2 evaluates no history drift.
-    The first k-1 calls of :meth:`advance` fill the starting values (one
-    drift-implicit Euler step each with ``second_init="bem"``, or copies of
-    x0 with ``"copy"``); after them it runs the recursion.
+    each implicit solve that will run (with its step bound) and R as
+    per-state operand lists (:func:`_rhs_terms`).  The history keeps, per
+    old state, the state, its noise product g(U) dW and, only when some
+    beta_i (i < k) is non-zero, its drift; so each step evaluates the
+    diffusion once and BDF2 evaluates no history drift.  The first k-1
+    calls of :meth:`advance` fill the starting values (one drift-implicit
+    Euler step each with ``second_init="bem"``, or copies of x0 with
+    ``"copy"``); after them it runs the recursion.
+
+    ``h`` is one step size, or a tuple with one per block of equally many
+    consecutive rows of x0: each block then runs at its own step size, with
+    h-dependent factors as per-row operands, and :meth:`narrow` drops
+    trailing blocks.  Rows are independent, so a block's bits are those of
+    a stepper over that block alone.
     """
 
     def __init__(
@@ -445,27 +507,44 @@ class _Stepper:
         model: SdeModel,
         coeffs: SchemeCoefficients,
         solver_cfg: ImplicitSolverConfig,
-        h: float,
+        h,
         x0,
         second_init: str = "bem",
     ):
         if second_init not in ("bem", "copy"):
             raise ValueError(f"second_init must be 'bem' or 'copy', got {second_init!r}")
         k = coeffs.k
-        self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg) if coeffs.implicit else None
+        self.x = np.array(x0, dtype=float)
+        block_rows = len(self.x) // len(h) if isinstance(h, tuple) else 1
+        self._solve = None
+        if coeffs.implicit:
+            self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg, block_rows)
         self._start_solve = None
         if k >= 2 and second_init == "bem":
-            self._start_solve = _solve_core(model, 1.0, h, solver_cfg)
-        _stability_warnings(model, coeffs, h)
+            self._start_solve = _solve_core(model, 1.0, h, solver_cfg, block_rows)
+        if isinstance(h, tuple):
+            h = _per_row(h, block_rows, (model.state_dim,))
         self._drift = model.drift
         self._diffusion = model.diffusion
         self._keep_drift = any(b != 0.0 for b in coeffs.beta[:k])
-        self._terms = _rhs_terms(coeffs, h)
-        self._start_terms = _rhs_terms(BACKWARD_EULER, h)
+        self._terms = _rhs_operands(coeffs, h)
+        self._start_terms = _rhs_operands(BACKWARD_EULER, h)
         self._k = k
         self._history = []
-        self.x = np.array(x0, dtype=float)
         self.advance = self._start if k >= 2 else self._recur
+
+    def narrow(self, rows: int) -> None:
+        """Keep the first ``rows`` rows, whole blocks: x, the history and the
+        per-row operands become views of them.  The solves take any such
+        prefix, and the starter's terms hold no per-row operand."""
+
+        def cut(operand):
+            return operand if operand is None or operand.ndim == 0 else operand[:rows]
+
+        self.x = self.x[:rows]
+        self._history = [tuple(cut(v) for v in entry) for entry in self._history]
+        self._terms = tuple((a, tuple((slot, cut(b)) for slot, b in rest))
+                            for a, rest in self._terms)
 
     def _push(self, x: np.ndarray, dW: np.ndarray) -> None:
         f = self._drift(x) if self._keep_drift else None
@@ -524,6 +603,7 @@ def integrate(
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0}")
     stepper = _Stepper(model, coeffs, solver_cfg, grid.h, x0, second_init)
+    _stability_warnings(model, coeffs, grid.h)
     inc = increments.increments
     states = np.empty((grid.N + 1, model.state_dim), dtype=float)
     states[0] = x0

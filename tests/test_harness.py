@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ from sdestep.harness import (
 _, VOL32 = make_model("vol32", 4.0, 1.0)
 _, VOL32_SIG0 = make_model("vol32", 4.0, 0.0)
 _, TOY = make_model("toy2d", 96.0, 0.47)
+# diffusion 3x^2 explodes both implicit schemes in some rows while the reference stays finite
+BLOWUP = SdeModel(1, 1, drift=lambda x: -x, diffusion=lambda x: (3.0 * x * x)[..., None],
+                  drift_jacobian=lambda x: -np.ones(x.shape + (1,)))
 
 
 def linear_model(a: float) -> SdeModel:
@@ -222,7 +226,71 @@ def test_engine_snapshots_equal_per_sample_references_bitwise(model, x0, levels,
         ref = reference_trajectory(cfg, lo + i).states
         for n in cfg.levels:
             want = ref[:: cfg.ref_steps // n]
-            assert snapshots[n][i].tobytes() == want.tobytes()
+            assert snapshots[n][:, i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "levels,ref_steps,owners",
+    [((25, 50, 100, 200, 400, 800), 1600, {n: 800 for n in (25, 50, 100, 200, 400, 800)}),
+     ((40, 50), 200, {40: 40, 50: 50}),
+     ((40, 50, 100), 200, {40: 40, 50: 100, 100: 100})],
+    ids=["nested", "unnested", "mixed"],
+)
+def test_engine_snapshots_of_nested_levels_are_views_of_the_finest_array(levels, ref_steps,
+                                                                         owners):
+    cfg = _multi_chunk_config(VOL32, (1.0,), levels, ref_steps)
+    snapshots, _coarse_incs = _reference_pass(cfg, 0, 3)
+    for n in levels:
+        assert snapshots[n].shape == (n + 1, 3, 1)
+        for k in levels:
+            assert np.shares_memory(snapshots[n], snapshots[k]) == (owners[n] == owners[k])
+
+
+def _stepped_alone(cfg, scheme, increments, ref_states):
+    """Squared deviations (B, n+1) of one level stepped by a one-block stepper of its own."""
+    n, B, _ = increments.shape
+    x0 = np.broadcast_to(np.asarray(cfg.x0), (B, cfg.model.state_dim))
+    stepper = schemes._Stepper(cfg.model, harness.SCHEME_COEFFS[scheme], cfg.solver,
+                               cfg.level_grid(n).h, x0, cfg.second_init)
+    devsq = np.empty((B, n + 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dev = x0 - ref_states[0]
+        devsq[:, 0] = np.sum(dev * dev, axis=-1)
+        for j, dW in enumerate(increments, 1):
+            dev = stepper.advance(dW) - ref_states[j]
+            devsq[:, j] = np.sum(dev * dev, axis=-1)
+    return devsq
+
+
+def _assert_lockstep_equals_levels_alone(cfg, lo, hi):
+    snapshots, coarse_incs = _reference_pass(cfg, lo, hi)
+    for scheme in cfg.schemes:
+        lockstep = harness._level_deviations(cfg, scheme, coarse_incs, snapshots)
+        assert sorted(lockstep) == sorted(cfg.levels)
+        for n in cfg.levels:
+            alone = _stepped_alone(cfg, scheme, coarse_incs[n], snapshots[n])
+            assert lockstep[n].tobytes() == alone.tobytes(), (scheme, n)
+    return snapshots
+
+
+@pytest.mark.parametrize("second_init", ["bem", "copy"])
+@_ENGINE_CASES
+def test_lockstep_levels_equal_each_level_stepped_alone_bitwise(model, x0, levels, ref_steps,
+                                                                second_init):
+    cfg = _multi_chunk_config(model, x0, levels, ref_steps, second_init=second_init)
+    _assert_lockstep_equals_levels_alone(cfg, 2, 9)
+
+
+@pytest.mark.parametrize("second_init", ["bem", "copy"])
+def test_lockstep_levels_keep_their_bits_when_rows_explode_in_levels_that_end_early(second_init):
+    cfg = ExperimentConfig(model=BLOWUP, x0=(1.0,), schemes=("bem", "bdf2"), levels=(25, 50, 100),
+                           samples=24, ref_steps=400, base_seed=3, second_init=second_init)
+    _assert_lockstep_equals_levels_alone(cfg, 0, 24)
+    snapshots, coarse_incs = _reference_pass(cfg, 0, 24)
+    for scheme in cfg.schemes:
+        devsq = harness._level_deviations(cfg, scheme, coarse_incs, snapshots)
+        for n in cfg.levels:  # some rows of every level, the ones that end early included, explode
+            assert 0 < np.count_nonzero(~np.isfinite(devsq[n]).all(axis=1)) < 24, (scheme, n)
 
 
 def _sha256(table: ErrorTable) -> str:
@@ -261,8 +329,8 @@ def test_engine_evaluates_the_diffusion_once_per_step():
         samples=10, ref_steps=200, base_seed=4, batch_size=5,
     )
     run_convergence_study(cfg)
-    passes = 1  # both batches of 5 are stepped in one pass
-    assert len(calls) == passes * (cfg.ref_steps + sum(cfg.levels) * len(cfg.schemes))
+    # both batches of 5 are stepped in one pass, and each scheme steps all its levels in lockstep
+    assert len(calls) == cfg.ref_steps + max(cfg.levels) * len(cfg.schemes) == 350
 
 
 def test_toy2d_study_makes_exactly_k_newton_updates_per_implicit_solve(monkeypatch):
@@ -286,12 +354,13 @@ def test_toy2d_study_makes_exactly_k_newton_updates_per_implicit_solve(monkeypat
         batch_size=4,
     )
     run_convergence_study(cfg)
-    # one pass: the BDF2 reference (its BEM starter included) and the bem and bdf2 levels solve
-    # once per step; explicit Euler calls the drift once per step and solves nothing
-    assert calls["solve"] == cfg.ref_steps + 2 * sum(cfg.levels) == 350
-    assert calls["jacobian"] == cfg.solver.newton_iterations * calls["solve"] == 1750
-    assert calls["drift"] == calls["jacobian"] + sum(cfg.levels) == 1825
-    assert calls["diffusion"] == cfg.ref_steps + 3 * sum(cfg.levels) == 425
+    # one pass: the BDF2 reference (its BEM starter included) solves once per step, and the bem
+    # and bdf2 levels once per lockstep step over all their running levels; explicit Euler calls
+    # the drift once per lockstep step and solves nothing
+    assert calls["solve"] == cfg.ref_steps + 2 * max(cfg.levels) == 300
+    assert calls["jacobian"] == cfg.solver.newton_iterations * calls["solve"] == 1500
+    assert calls["drift"] == calls["jacobian"] + max(cfg.levels) == 1550
+    assert calls["diffusion"] == cfg.ref_steps + 3 * max(cfg.levels) == 350
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -302,6 +371,21 @@ def test_copy_start_checks_no_one_step_bound():
     assert np.isfinite(table.cell(1, "bdf2").error)
     with pytest.raises(StepSizeError):
         run_convergence_study(ExperimentConfig(second_init="bem", **kw))
+
+
+def test_a_study_warns_once_per_offending_scheme_and_step_size(monkeypatch):
+    # h = 0.2 exceeds the stricter candidate 0.1 of both implicit schemes; 0.1 and 0.05 do not
+    cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(5, 10, 20), samples=12, ref_steps=40,
+                           base_seed=2, batch_size=4)
+    monkeypatch.setattr(harness, "_PASS_ROWS", 4)
+    assert len(_map_batches(cfg, lambda config, batches: [batches])) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_convergence_study(cfg)
+    assert sorted(str(w.message).split(" for the ")[1][:6] for w in caught) == ["1-step", "2-step"]
+    for w in caught:
+        assert issubclass(w.category, RuntimeWarning) and str(w.message).startswith("h=0.2 ")
+        assert w.filename == __file__  # the warning points at the study's caller
 
 
 # ------------------------------------------------------------- strong error
@@ -331,11 +415,8 @@ def test_per_sample_and_batched_routes_agree():
     # explicit Euler on stiff toy2d explodes 32/11/0 samples, so counts are compared non-zero
     toy_eulm = dict(model=TOY_SIGMA1, x0=(2.0, 3.0), schemes=("eulm",), samples=32, base_seed=77,
                     batch_size=16)
-    # diffusion 3x^2 explodes both implicit schemes 4/3/3 times (the reference stays finite),
-    # so non-finite R rows reach the level solves
-    blowup = SdeModel(1, 1, drift=lambda x: -x, diffusion=lambda x: (3.0 * x * x)[..., None],
-                      drift_jacobian=lambda x: -np.ones(x.shape + (1,)))
-    implicit = dict(model=blowup, x0=(1.0,), schemes=("bem", "bdf2"), samples=24, base_seed=3,
+    # BLOWUP explodes both implicit schemes 4/3/3 times, so non-finite R rows reach the level solves
+    implicit = dict(model=BLOWUP, x0=(1.0,), schemes=("bem", "bdf2"), samples=24, base_seed=3,
                     batch_size=7)
     for kw, exploded in ((vol32, (0, 0, 0)), (toy_eulm, (32, 11, 0)), (implicit, (4, 3, 3))):
         cfg = ExperimentConfig(levels=(25, 50, 100), ref_steps=400, **kw)

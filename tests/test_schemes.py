@@ -126,8 +126,9 @@ def test_integration_warns_above_stricter_stability_candidates():
     inc = zero_table(grid)
     with pytest.warns(RuntimeWarning, match="stability"):
         integrate(VOL32, BACKWARD_EULER, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
-    with pytest.warns(RuntimeWarning, match="stability"):
+    with pytest.warns(RuntimeWarning, match="stability") as record:
         integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
+    assert len(record) == 1  # once per call, not once per step
 
     fine = TimeGrid(T=1.0, N=25)  # h = 0.04 < both candidates
     import warnings as _warnings
