@@ -428,7 +428,7 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     fine_chunk = np.empty((chunk, B, d))
 
     coeffs = SCHEME_COEFFS[config.reference_scheme]
-    stepper = _Stepper(model, coeffs, config.solver, h_fine, x0, config.second_init)
+    stepper = _Stepper(model, coeffs, config.solver, (h_fine,), x0, config.second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for consumed in range(0, ref_steps, chunk):
             _draw_rows(gens, blocks, fine_chunk, h_fine)
@@ -469,9 +469,8 @@ def _level_deviations(config: ExperimentConfig, scheme: str, coarse_incs: dict,
     m = config.model.state_dim
     x0 = np.broadcast_to(np.asarray(config.x0, dtype=float), (len(levels) * B, m))
     h = tuple(config.level_grid(n).h for n in levels)
-    # a single level steps with the scalar operands of a stepper of its own
-    stepper = _Stepper(config.model, SCHEME_COEFFS[scheme], config.solver,
-                       h if len(h) > 1 else h[0], x0, config.second_init)
+    stepper = _Stepper(config.model, SCHEME_COEFFS[scheme], config.solver, h, x0,
+                       config.second_init)
     devsq = {n: np.empty((B, n + 1)) for n in levels}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in levels:

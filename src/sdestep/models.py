@@ -238,9 +238,11 @@ class ConditionReport:
     """Outcome of sampling one structural inequality.
 
     ``max_slack`` is the worst margin rhs - lhs observed (negative means a
-    violation); ``violations`` keeps at most a few dozen recorded examples
-    as (x1, x2, lhs, rhs) tuples (x2 is None for single-point conditions),
-    while ``violation_count`` counts all of them.
+    violation), NaN when some pair's margin is undefined because its
+    inequality overflowed; such a pair is a violation too.  ``violations``
+    keeps at most a few dozen recorded examples as (x1, x2, lhs, rhs) tuples
+    (x2 is None for single-point conditions), while ``violation_count``
+    counts all of them.
     """
 
     condition: str
@@ -286,7 +288,7 @@ def _point_set(box: float, state_dim: int, n_points: int, seed: int):
 
 def _build_report(condition: str, x1, x2, lhs, rhs) -> ConditionReport:
     slack = rhs - lhs
-    bad = slack < 0.0
+    bad = ~(slack >= 0.0)  # a NaN margin (an overflowed inequality) certifies nothing
     count = int(np.count_nonzero(bad))
     recorded = []
     if count:
@@ -309,6 +311,7 @@ def _build_report(condition: str, x1, x2, lhs, rhs) -> ConditionReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_monotonicity(
     f: Callable,
     g: Callable,
@@ -341,6 +344,7 @@ def check_monotonicity(
     return _build_report("monotonicity", x1, x2, lhs, rhs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_coercivity(
     f: Callable,
     g: Callable,
@@ -368,6 +372,7 @@ def check_coercivity(
     return _build_report("coercivity", x, None, lhs, rhs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_local_lipschitz_f(
     f: Callable,
     L: float,

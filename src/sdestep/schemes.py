@@ -242,27 +242,23 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
-def _newton_solve(drift, jacobian, eye: np.ndarray, bh, bh_jacobian, iterations: int,
-                  R: np.ndarray):
+def _newton_solve(drift, jacobian, eye: np.ndarray, bh: np.ndarray, bh_jacobian: np.ndarray,
+                  iterations: int, R: np.ndarray):
     """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R.
 
     :func:`_solve_core` binds f, its Jacobian, the identity and beta*h once:
-    ``bh`` multiplies f(x) and ``bh_jacobian`` the Jacobian, one float for both
-    or per-row operands shaped like each.  Each update makes one call of f, of
-    its Jacobian and of :func:`_solve_linear`: most of a Newton study's time.
+    ``bh`` multiplies f(x) and ``bh_jacobian`` the Jacobian, as per-row
+    operands shaped like each; R may be their first ``len(R)`` rows.  Each
+    update makes one call of f, of its Jacobian and of :func:`_solve_linear`:
+    most of a Newton study's time.
     """
+    rows = len(R)
+    bh, bh_jacobian = bh[:rows], bh_jacobian[:rows]
     x = R
     for _ in range(iterations):
         phi = x - bh * drift(x) - R
         x = x - _solve_linear(eye - bh_jacobian * jacobian(x), phi)
     return x
-
-
-def _newton_rows(drift, jacobian, eye: np.ndarray, bh: np.ndarray, bh_jacobian: np.ndarray,
-                 iterations: int, R: np.ndarray):
-    """:func:`_newton_solve` over the first ``len(R)`` rows of the per-row operands."""
-    rows = len(R)
-    return _newton_solve(drift, jacobian, eye, bh[:rows], bh_jacobian[:rows], iterations, R)
 
 
 def _solve_blocks(solves: tuple, block_rows: int, R: np.ndarray) -> np.ndarray:
@@ -273,36 +269,35 @@ def _solve_blocks(solves: tuple, block_rows: int, R: np.ndarray) -> np.ndarray:
     return x
 
 
-def _per_row(values, block_rows: int, shape: tuple) -> np.ndarray:
-    """``values[i]`` on every row of block i: an array ``(len(values) * block_rows, *shape)``."""
+def _per_row(values: tuple, shape: tuple) -> np.ndarray:
+    """An array of ``shape`` whose rows split evenly into ``len(values)`` blocks,
+    ``values[i]`` on every element of block i."""
     values = np.asarray(values, dtype=float)
-    return np.repeat(values, block_rows * math.prod(shape)).reshape((-1,) + shape)
+    return np.repeat(values, math.prod(shape) // len(values)).reshape(shape)
 
 
-def _solve_core(model: SdeModel, beta: float, h, cfg: ImplicitSolverConfig,
-                block_rows: int = 1):
+def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfig,
+                shape: tuple):
     """Check the step equation x - h*beta*f(x) = R once and return ``solve(R)``.
 
-    Raises for ``beta <= 0``, an ``h`` that is not a positive finite real,
-    a violated step bound h*beta*L < 1 (unless ``cfg.enforce_step_bound``
-    is off) and a solver mode the model cannot serve.  This is the only
-    check of the step bound.  The returned ``solve(R)`` is the closed form
-    or :func:`_newton_solve` itself, for R of shape ``(m,)`` or ``(B, m)``.
-    A non-finite row (or single state) runs through its arithmetic and
-    comes back non-finite; rows are independent, so the others keep their bits.
+    ``h`` holds one step size per block of equally many consecutive rows of
+    a state of ``shape``, ``(m,)`` or ``(B, m)``; a single state or a plain
+    batch is one block.  Raises for ``beta <= 0``, a step size that is not
+    a positive finite real, a violated step bound h*beta*L < 1 (unless
+    ``cfg.enforce_step_bound`` is off) and a solver mode the model cannot
+    serve.  This is the only check of the step bound.
 
-    ``h`` may also be a tuple, one step size per block of ``block_rows``
-    consecutive rows, each checked as above.  ``solve(R)`` then takes the
-    rows of those blocks or of a prefix of whole blocks: the closed form runs
-    once per block, as ``closed_form_implicit`` takes one h, and Newton once
-    over all rows, with beta*h as per-row operands of the shapes of f,
-    ``(rows, m)``, and of its Jacobian, ``(rows, m, m)``.
+    ``solve(R)`` takes R of ``shape`` or its rows of a prefix of whole
+    blocks.  The closed form runs once per block, as ``closed_form_implicit``
+    takes one h (one block is the closed form itself), and Newton
+    (:func:`_newton_solve`) once over all rows, with beta*h as per-row
+    operands of the shapes of f, ``shape``, and of its Jacobian.  A
+    non-finite row (or single state) runs through its arithmetic and comes
+    back non-finite; rows are independent, so the others keep their bits.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
-    blocks = isinstance(h, tuple)
-    steps = h if blocks else (h,)
-    for step in steps:
+    for step in h:
         if not (step > 0.0 and math.isfinite(step)):
             raise StepSizeError(f"step size must be a positive finite real, got {step}")
         if cfg.enforce_step_bound and not (step * beta * model.L < 1.0):
@@ -317,20 +312,16 @@ def _solve_core(model: SdeModel, beta: float, h, cfg: ImplicitSolverConfig,
         raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
-        if not blocks:
-            return partial(model.closed_form_implicit, beta, h)
-        solves = tuple(partial(model.closed_form_implicit, beta, step) for step in steps)
-        return partial(_solve_blocks, solves, block_rows)
+        solves = tuple(partial(model.closed_form_implicit, beta, step) for step in h)
+        if len(solves) == 1:
+            return solves[0]
+        return partial(_solve_blocks, solves, shape[0] // len(h))
     if model.drift_jacobian is None:
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
     m = model.state_dim
-    if not blocks:
-        return partial(_newton_solve, model.drift, model.drift_jacobian, np.eye(m),
-                       beta * h, beta * h, cfg.newton_iterations)
-    bh = [beta * step for step in steps]
-    return partial(_newton_rows, model.drift, model.drift_jacobian, np.eye(m),
-                   _per_row(bh, block_rows, (m,)), _per_row(bh, block_rows, (m, m)),
-                   cfg.newton_iterations)
+    bh = tuple(beta * step for step in h)
+    return partial(_newton_solve, model.drift, model.drift_jacobian, np.eye(m),
+                   _per_row(bh, shape), _per_row(bh, shape + (m,)), cfg.newton_iterations)
 
 
 def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolverConfig):
@@ -340,7 +331,8 @@ def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolve
     Non-finite rows of R go through the solve and come back non-finite — an
     exploded sample is data, not an error.  Newton starts from R.
     """
-    return _solve_core(model, beta, h, cfg)(np.asarray(R, dtype=float))
+    R = np.asarray(R, dtype=float)
+    return _solve_core(model, beta, (h,), cfg, R.shape)(R)
 
 
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
@@ -355,40 +347,29 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     return x_prev + h * model.drift(x_prev) + _apply_noise(model.diffusion(x_prev), dW)
 
 
-@lru_cache
-def _rhs_terms(coeffs: SchemeCoefficients, h: float) -> tuple:
+def _rhs_terms(coeffs: SchemeCoefficients, h: np.ndarray) -> tuple:
     """The right-hand side R of a k-step recursion as per-state operand lists.
 
     Entry i belongs to the old state U_i (oldest first), whose history
     entry is ``(U_i, n_i, f_i)`` with the noise product ``n_i = g(U_i) dW``
     and ``f_i = f(U_i)``.  It is ``(a, rest)``: the factor ``-alpha_i`` on
     U_i, then ``(slot, factor)`` pairs for ``h beta_i`` on f_i and
-    ``gamma_i`` on n_i where those are non-zero.  A factor of exactly 1 is
-    stored as None and not multiplied, since ``x * 1.0 == x`` bit for bit;
-    any other is a read-only 0-d float64 array (:func:`core._const`).  The
-    terms are cached per ``(coeffs, h)``, as ``step_lmm`` asks for them on
-    every step.
-    """
-    return _rhs_operands(coeffs, h)
-
-
-def _rhs_operands(coeffs: SchemeCoefficients, h) -> tuple:
-    """:func:`_rhs_terms`, uncached, for ``h`` a float or a per-row array ``(rows, m)``.
-
-    With an array, each ``h beta_i`` is a per-row operand of its shape (it is
-    multiplied even where it is 1); the other factors do not depend on h.
+    ``gamma_i`` on n_i where those are non-zero.  ``h`` holds the step size
+    of every row in the shape of the state (:func:`_per_row`), so each
+    ``h beta_i`` is a per-row operand.  Of the other factors, one of
+    exactly 1 is stored as None and not multiplied, since ``x * 1.0 == x``
+    bit for bit; any other is a read-only 0-d float64 array
+    (:func:`core._const`).
     """
 
     def factor(value):
-        if np.ndim(value):
-            return value
         return None if value == 1.0 else _const(value)
 
     terms = []
     for i in range(coeffs.k):
         rest = []
         if coeffs.beta[i] != 0.0:
-            rest.append((2, factor(h * coeffs.beta[i])))
+            rest.append((2, h * coeffs.beta[i]))
         if coeffs.gamma[i] != 0.0:
             rest.append((1, factor(coeffs.gamma[i])))
         terms.append((factor(-coeffs.alpha[i]), tuple(rest)))
@@ -422,7 +403,7 @@ def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drif
         if gamma != 0.0:
             noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
         history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
-    return _assemble(_rhs_terms(coeffs, h), history)
+    return _assemble(_rhs_terms(coeffs, _per_row((h,), history[-1][0].shape)), history)
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
@@ -495,11 +476,12 @@ class _Stepper:
     Euler step each with ``second_init="bem"``, or copies of x0 with
     ``"copy"``); after them it runs the recursion.
 
-    ``h`` is one step size, or a tuple with one per block of equally many
-    consecutive rows of x0: each block then runs at its own step size, with
-    h-dependent factors as per-row operands, and :meth:`narrow` drops
-    trailing blocks.  Rows are independent, so a block's bits are those of
-    a stepper over that block alone.
+    ``h`` is a tuple with one step size per block of equally many
+    consecutive rows of x0; a single state or a plain batch is one block,
+    ``(h,)``.  Each block runs at its own step size, with h-dependent
+    factors as per-row operands, and :meth:`narrow` drops trailing blocks.
+    Rows are independent, so a block's bits are those of a stepper over
+    that block alone.
     """
 
     def __init__(
@@ -507,7 +489,7 @@ class _Stepper:
         model: SdeModel,
         coeffs: SchemeCoefficients,
         solver_cfg: ImplicitSolverConfig,
-        h,
+        h: tuple,
         x0,
         second_init: str = "bem",
     ):
@@ -515,20 +497,19 @@ class _Stepper:
             raise ValueError(f"second_init must be 'bem' or 'copy', got {second_init!r}")
         k = coeffs.k
         self.x = np.array(x0, dtype=float)
-        block_rows = len(self.x) // len(h) if isinstance(h, tuple) else 1
+        shape = self.x.shape
         self._solve = None
         if coeffs.implicit:
-            self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg, block_rows)
+            self._solve = _solve_core(model, coeffs.beta[k], h, solver_cfg, shape)
         self._start_solve = None
         if k >= 2 and second_init == "bem":
-            self._start_solve = _solve_core(model, 1.0, h, solver_cfg, block_rows)
-        if isinstance(h, tuple):
-            h = _per_row(h, block_rows, (model.state_dim,))
+            self._start_solve = _solve_core(model, 1.0, h, solver_cfg, shape)
         self._drift = model.drift
         self._diffusion = model.diffusion
         self._keep_drift = any(b != 0.0 for b in coeffs.beta[:k])
-        self._terms = _rhs_operands(coeffs, h)
-        self._start_terms = _rhs_operands(BACKWARD_EULER, h)
+        h_rows = _per_row(h, shape)
+        self._terms = _rhs_terms(coeffs, h_rows)
+        self._start_terms = _rhs_terms(BACKWARD_EULER, h_rows)
         self._k = k
         self._history = []
         self.advance = self._start if k >= 2 else self._recur
@@ -602,7 +583,7 @@ def integrate(
         raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0}")
-    stepper = _Stepper(model, coeffs, solver_cfg, grid.h, x0, second_init)
+    stepper = _Stepper(model, coeffs, solver_cfg, (grid.h,), x0, second_init)
     _stability_warnings(model, coeffs, grid.h)
     inc = increments.increments
     states = np.empty((grid.N + 1, model.state_dim), dtype=float)

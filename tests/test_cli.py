@@ -147,6 +147,19 @@ def test_check_model_reports_violations(capsys):
     assert out.count("  violation:") == 2
 
 
+@pytest.mark.parametrize("condition", ["monotonicity", "coercivity", "lipschitz"])
+def test_check_model_reports_an_overflowing_box_as_violated(condition):
+    # a process of its own, so that a numpy warning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "sdestep", "check-model", "--model", "vol32",
+         "--condition", condition, "--radius", "1e103", "--pairs", "100"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.rstrip().endswith("status: VIOLATED")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

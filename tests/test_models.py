@@ -1,5 +1,7 @@
 """Tests for the two benchmark models and the structural-condition checkers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -377,3 +379,23 @@ def test_report_slack_sign_tracks_the_verdict():
         assert rep.ok == (rep.max_slack >= 0.0)
         assert rep.ok == (len(rep.violations) == 0)
         assert rep.pairs_tested > 5_000  # lattice pass is always included
+
+
+def test_an_overflowing_inequality_is_a_violation_not_a_pass():
+    # at |x| ~ 1e103 the cubic terms overflow: f(x1) - f(x2) is inf - inf, a NaN margin
+    _, model = make_model("vol32", 4.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = (
+            check_monotonicity(model.drift, model.diffusion, eta=2.0, L=1.0, n_pairs=100,
+                               box=1e103),
+            check_coercivity(model.drift, model.diffusion, L=1.0, q=2.0, n_points=100, box=1e103),
+            check_local_lipschitz_f(model.drift, L=1.0, q=2.0, n_pairs=100, box=1e103),
+        )
+    for rep in reports:
+        assert rep.ok is False, rep.condition
+        assert len(rep.violations) == min(rep.violation_count, 50)
+    for rep in reports[:2]:
+        assert np.isnan(rep.max_slack)
+        # the NaN pairs are recorded with their lhs/rhs
+        assert any(np.isnan(lhs) for _x1, _x2, lhs, _rhs in rep.violations)

@@ -253,7 +253,7 @@ def test_settled_operands_are_read_only_float64_scalars():
     settled = [*_closed_form_32vol_solver(4.0, 1.0, 0.01).args,
                *_closed_form_32vol_solver(4.0, 1.0, 1e-156).args,
                params._lam, params._sigma]
-    settled += [a for a, rest in _rhs_terms(BDF2, 0.01) if a is not None]
+    settled += [a for a, rest in _rhs_terms(BDF2, np.full(1, 0.01)) if a is not None]
     assert len(settled) == 9
     for value in settled:
         assert value.shape == () and value.dtype == np.float64
