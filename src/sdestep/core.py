@@ -88,9 +88,12 @@ class SdeModel:
     (m x d) matrix; both must be vectorized over leading axes, i.e. accept
     ``(..., m)`` and return ``(..., m)`` / ``(..., m, d)``.  The optional
     ``drift_jacobian`` returns ``(..., m, m)`` and enables Newton solves;
-    the optional ``closed_form_implicit(beta, h, R)`` returns the exact
-    root of ``x - h*beta*f(x) = R`` and, when present, is preferred by the
-    implicit solver.
+    the optional ``closed_form_implicit(beta, h)`` returns ``solve(R)``,
+    the exact root of ``x - h*beta*f(x) = R`` for a float64 array R of
+    shape ``(m,)`` or ``(B, m)``, and, when present, is preferred by the
+    implicit solver.  It is called once per ``(beta, h)`` a stepper will
+    use, when the stepper is built, so checks and constants belong in it
+    and ``solve`` does only the arithmetic of a step.
 
     The constants describe the monotonicity framework the schemes rely on:
     ``L`` bounds the one-sided growth of the coefficients, ``eta`` weights
@@ -106,7 +109,9 @@ class SdeModel:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     drift_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    closed_form_implicit: Optional[Callable[[float, float, np.ndarray], np.ndarray]] = None
+    closed_form_implicit: Optional[
+        Callable[[float, float], Callable[[np.ndarray], np.ndarray]]
+    ] = None
     L: float = 1.0
     eta: float = 1.0
     q: float = 1.0

@@ -101,8 +101,8 @@ class ThreeHalvesVol:
     def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
         return (1.0 - 2.0 * self.lam * np.abs(x))[..., None]
 
-    def closed_form_implicit(self, beta: float, h: float, R: np.ndarray) -> np.ndarray:
-        return _closed_form_32vol_solver(self.lam, beta, h)(R)
+    def closed_form_implicit(self, beta: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
+        return _closed_form_32vol_solver(self.lam, beta, h)
 
     def as_sde_model(self) -> SdeModel:
         return SdeModel(

@@ -124,21 +124,26 @@ def _stability_warnings(model: SdeModel, coeffs: SchemeCoefficients, h: float) -
         )
 
 
-def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Matrix-vector product g @ dW over the trailing axes, batch friendly.
+def _noise_product(d: int):
+    """g @ dW over the trailing axes for noise dimension ``d``, chosen once.
 
     ``g`` has shape (..., m, d) and ``dW`` shape (..., d); the result has
     shape (..., m).  d = 1 and d = 2 are unrolled so the summation order
     is fixed (and fast); larger d falls back to einsum.
     """
+    if d == 1:
+        return lambda g, dW: g[..., 0] * dW
+    if d == 2:
+        return lambda g, dW: g[..., 0] * dW[..., 0:1] + g[..., 1] * dW[..., 1:2]
+    return partial(np.einsum, "...md,...d->...m")
+
+
+def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """:func:`_noise_product` for the ``d`` of ``g``, after checking that ``dW`` has it."""
     d = g.shape[-1]
     if dW.shape[-1] != d:
         raise ValueError(f"noise dimension mismatch: matrix has d={d}, increment {dW.shape[-1]}")
-    if d == 1:
-        return g[..., 0] * dW
-    if d == 2:
-        return g[..., 0] * dW[..., 0:1] + g[..., 1] * dW[..., 1:2]
-    return np.einsum("...md,...d->...m", g, dW)
+    return _noise_product(d)(g, dW)
 
 
 def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
@@ -165,7 +170,8 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     the branch and the constants are settled once per ``(lam, beta, h)``
     (:func:`_closed_form_32vol_solver`).
     """
-    return _closed_form_32vol_solver(lam, beta, h)(R)
+    x = _closed_form_32vol_solver(lam, beta, h)(np.asarray(R, dtype=float))
+    return float(x) if x.ndim == 0 else x
 
 
 @lru_cache
@@ -175,6 +181,7 @@ def _closed_form_32vol_solver(lam: float, beta: float, h: float):
     Checks ``beta*h*lam > 0`` and the finiteness of ``c``, picks the branch
     and holds its constants as read-only 0-d float64 arrays (``solve.args``),
     so a call does only the array arithmetic, in the order of the formula.
+    R must be a float64 array: the root converts nothing.
     """
     bh = beta * h
     if not (bh * lam > 0.0):
@@ -190,19 +197,16 @@ def _closed_form_32vol_solver(lam: float, beta: float, h: float):
     return partial(_divided_root, _const(1.0 - bh), _const(c))
 
 
-def _rationalized_root(bh_lam: np.ndarray, c: np.ndarray, c_squared: np.ndarray, R):
+def _rationalized_root(bh_lam: np.ndarray, c: np.ndarray, c_squared: np.ndarray,
+                       R: np.ndarray) -> np.ndarray:
     # np.sign, not np.copysign: sign(-0.0) is +0.0, so a zero root stays +0
-    R = np.asarray(R, dtype=float)
     a = np.abs(R) / bh_lam
-    x = np.sign(R) * (a / (c + np.sqrt(c_squared + a)))
-    return float(x) if x.ndim == 0 else x
+    return np.sign(R) * (a / (c + np.sqrt(c_squared + a)))
 
 
-def _divided_root(one_minus_bh: np.ndarray, c: np.ndarray, R):
-    R = np.asarray(R, dtype=float)
+def _divided_root(one_minus_bh: np.ndarray, c: np.ndarray, R: np.ndarray) -> np.ndarray:
     q = 2.0 * np.abs(R) / one_minus_bh
-    x = np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
-    return float(x) if x.ndim == 0 else x
+    return np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
 
 
 def _solve_linear(A: np.ndarray, b: np.ndarray):
@@ -288,9 +292,10 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
     serve.  This is the only check of the step bound.
 
     ``solve(R)`` takes R of ``shape`` or its rows of a prefix of whole
-    blocks.  The closed form runs once per block, as ``closed_form_implicit``
-    takes one h (one block is the closed form itself), and Newton
-    (:func:`_newton_solve`) once over all rows, with beta*h as per-row
+    blocks.  The closed form is settled here, one
+    ``closed_form_implicit(beta, h)`` call per block, and each settled solve
+    runs on its block's rows (one block is that solve itself); Newton
+    (:func:`_newton_solve`) runs once over all rows, with beta*h as per-row
     operands of the shapes of f, ``shape``, and of its Jacobian.  A
     non-finite row (or single state) runs through its arithmetic and comes
     back non-finite; rows are independent, so the others keep their bits.
@@ -312,7 +317,7 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
         raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
 
     if mode == "closed_form":
-        solves = tuple(partial(model.closed_form_implicit, beta, step) for step in h)
+        solves = tuple(model.closed_form_implicit(beta, step) for step in h)
         if len(solves) == 1:
             return solves[0]
         return partial(_solve_blocks, solves, shape[0] // len(h))
@@ -329,9 +334,13 @@ def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolve
 
     Requires ``0 < h*beta*L < 1`` unless ``cfg.enforce_step_bound`` is off.
     Non-finite rows of R go through the solve and come back non-finite — an
-    exploded sample is data, not an error.  Newton starts from R.
+    exploded sample is data, not an error.  Newton starts from R.  R must
+    have shape ``(m,)`` or ``(B, m)`` with ``m = model.state_dim``.
     """
     R = np.asarray(R, dtype=float)
+    m = model.state_dim
+    if R.ndim not in (1, 2) or R.shape[-1] != m:
+        raise ValueError(f"R must have shape ({m},) or (B, {m}), got {R.shape}")
     return _solve_core(model, beta, (h,), cfg, R.shape)(R)
 
 
@@ -376,19 +385,36 @@ def _rhs_terms(coeffs: SchemeCoefficients, h: np.ndarray) -> tuple:
     return tuple(terms)
 
 
-def _assemble(terms: tuple, history) -> np.ndarray:
-    """R from :func:`_rhs_terms` and the history entries ``(U_i, n_i, f_i)``, oldest first.
+def _rhs(coeffs: SchemeCoefficients, h: np.ndarray):
+    """R of one step as one callable of the history entries ``(U_i, n_i, f_i)``,
+    oldest first, from the terms of ``coeffs`` at the per-row step sizes ``h``
+    (:func:`_rhs_terms`).
 
-    Each state's contribution is formed in full before it is added to R;
-    every stepper sums in this one order, so they agree bit for bit.
+    The sum is written out as one expression, such as
+    ``(c0 * history[0][0] + c1 * history[0][1]) + (c2 * history[1][0] + history[1][1])``
+    for BDF2, compiled once per text (:func:`_compiled`) with the factors
+    bound to ``c0, c1, ...``, so a step runs only its products and sums.  Each state's contribution is formed in full
+    before it is added to R; every stepper sums in this one order, so they
+    agree bit for bit.
     """
-    R = None
-    for (a, rest), entry in zip(terms, history):
-        c = entry[0] if a is None else a * entry[0]
-        for slot, b in rest:
-            c = c + (entry[slot] if b is None else b * entry[slot])
-        R = c if R is None else R + c
-    return R
+    factors, sums = [], []
+    for i, (a, rest) in enumerate(_rhs_terms(coeffs, h)):
+        terms = []
+        for slot, factor in ((0, a), *rest):
+            term = f"history[{i}][{slot}]"
+            if factor is not None:
+                term = f"c{len(factors)} * {term}"
+                factors.append(factor)
+            terms.append(term)
+        sums.append("(" + " + ".join(terms) + ")")
+    names = ", ".join(f"c{j}" for j in range(len(factors)))
+    return _compiled(f"lambda {names}: lambda history: {' + '.join(sums)}")(*factors)
+
+
+@lru_cache
+def _compiled(source: str):
+    """``source``, an expression built by :func:`_rhs`, evaluated once per text."""
+    return eval(source)
 
 
 def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drifts, increments):
@@ -403,7 +429,7 @@ def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drif
         if gamma != 0.0:
             noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
         history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
-    return _assemble(_rhs_terms(coeffs, _per_row((h,), history[-1][0].shape)), history)
+    return _rhs(coeffs, _per_row((h,), history[-1][0].shape))(history)
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
@@ -467,8 +493,9 @@ class _Stepper:
     """Advances one k-step recursion over a state ``(m,)`` or a batch ``(B, m)``.
 
     What does not change from step to step is settled at construction:
-    each implicit solve that will run (with its step bound) and R as
-    per-state operand lists (:func:`_rhs_terms`).  The history keeps, per
+    each implicit solve that will run (with its step bound), the noise
+    product for the model's noise dimension (:func:`_noise_product`) and R
+    as one callable of the history (:func:`_rhs`).  The history keeps, per
     old state, the state, its noise product g(U) dW and, only when some
     beta_i (i < k) is non-zero, its drift; so each step evaluates the
     diffusion once and BDF2 evaluates no history drift.  The first k-1
@@ -504,49 +531,46 @@ class _Stepper:
         self._start_solve = None
         if k >= 2 and second_init == "bem":
             self._start_solve = _solve_core(model, 1.0, h, solver_cfg, shape)
-        self._drift = model.drift
+        self._drift = model.drift if any(b != 0.0 for b in coeffs.beta[:k]) else None
         self._diffusion = model.diffusion
-        self._keep_drift = any(b != 0.0 for b in coeffs.beta[:k])
-        h_rows = _per_row(h, shape)
-        self._terms = _rhs_terms(coeffs, h_rows)
-        self._start_terms = _rhs_terms(BACKWARD_EULER, h_rows)
+        self._noise = _noise_product(model.noise_dim)
+        self._coeffs = coeffs
+        self._h = _per_row(h, shape)
+        self._rhs = _rhs(coeffs, self._h)
+        self._start_rhs = _rhs(BACKWARD_EULER, self._h)
         self._k = k
         self._history = []
         self.advance = self._start if k >= 2 else self._recur
 
     def narrow(self, rows: int) -> None:
         """Keep the first ``rows`` rows, whole blocks: x, the history and the
-        per-row operands become views of them.  The solves take any such
-        prefix, and the starter's terms hold no per-row operand."""
-
-        def cut(operand):
-            return operand if operand is None or operand.ndim == 0 else operand[:rows]
-
+        per-row step sizes become views of them, and R is rebuilt over them.
+        The solves take any such prefix, and the starter's R holds no per-row
+        operand."""
         self.x = self.x[:rows]
-        self._history = [tuple(cut(v) for v in entry) for entry in self._history]
-        self._terms = tuple((a, tuple((slot, cut(b)) for slot, b in rest))
-                            for a, rest in self._terms)
-
-    def _push(self, x: np.ndarray, dW: np.ndarray) -> None:
-        f = self._drift(x) if self._keep_drift else None
-        self._history.append((x, _apply_noise(self._diffusion(x), dW), f))
+        self._history = [tuple(None if v is None else v[:rows] for v in entry)
+                         for entry in self._history]
+        self._h = self._h[:rows]
+        self._rhs = _rhs(self._coeffs, self._h)
 
     def _start(self, dW: np.ndarray) -> np.ndarray:
         x = self.x
-        self._push(x, dW)
+        f = None if self._drift is None else self._drift(x)
+        self._history.append((x, self._noise(self._diffusion(x), dW), f))
         if self._start_solve is None:
             self.x = x.copy()
         else:
-            R = _assemble(self._start_terms, self._history[-1:])
-            self.x = self._start_solve(R)
+            self.x = self._start_solve(self._start_rhs(self._history[-1:]))
         if len(self._history) == self._k - 1:
             self.advance = self._recur
         return self.x
 
     def _recur(self, dW: np.ndarray) -> np.ndarray:
+        x = self.x
         history = self._history
-        self._push(self.x, dW)
-        R = _assemble(self._terms, history)
+        f = None if self._drift is None else self._drift(x)
+        history.append((x, self._noise(self._diffusion(x), dW), f))
+        R = self._rhs(history)
         del history[0]
         self.x = R if self._solve is None else self._solve(R)
         return self.x
@@ -572,8 +596,14 @@ def integrate(
     but a singular Newton linearization aborts with the failing step index
     attached.
     """
-    if (increments.grid.N, increments.grid.h) != (grid.N, grid.h):
-        raise ValueError("increment table grid (N, h) does not match the integration grid")
+    table = increments.grid
+    # a loaded table's T is h*N rounded (at most eps off), and each h = T/N rounds once more
+    tol = 2.0 * np.finfo(float).eps * max(table.h, grid.h)
+    if table.N != grid.N or abs(table.h - grid.h) > tol:
+        raise ValueError(
+            f"increment table grid (N, h) = ({table.N}, {table.h}) does not match the"
+            f" integration grid ({grid.N}, {grid.h})"
+        )
     if increments.noise_dim != model.noise_dim:
         raise ValueError(
             f"increment table has d={increments.noise_dim}, model expects {model.noise_dim}"

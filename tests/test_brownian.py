@@ -8,6 +8,7 @@ from scipy import stats
 
 from sdestep import (
     BDF2,
+    EXPLICIT_EULER,
     ImplicitSolverConfig,
     IncrementTable,
     SeedSpec,
@@ -247,6 +248,22 @@ def test_a_loaded_table_integrates_like_the_original(tmp_path, n):
     want = integrate(model, BDF2, cfg, grid, table, [1.0]).states
     got = integrate(model, BDF2, cfg, grid, loaded, [1.0]).states
     assert got.tobytes() == want.tobytes()
+
+
+def test_every_coarsening_of_a_loaded_table_integrates_like_the_original(tmp_path):
+    # a loaded grid's T = h*N can be an ulp off, so a coarsened one's h can be too (N=98 by 49)
+    _, model = make_model("vol32", 4.0, 1.0)
+    cfg = ImplicitSolverConfig()
+    path = tmp_path / "table.bin"
+    for n in range(1, 201):
+        table = generate_increments(TimeGrid(T=1.0, N=n), 1, SeedSpec(6, n))
+        dump_increments(table, path)
+        loaded = load_increments(path)
+        for factor in (f for f in range(1, n + 1) if n % f == 0):
+            grid = TimeGrid(T=1.0, N=n // factor)
+            want = integrate(model, EXPLICIT_EULER, cfg, grid, coarsen(table, factor), [1.0])
+            got = integrate(model, EXPLICIT_EULER, cfg, grid, coarsen(loaded, factor), [1.0])
+            assert got.states.tobytes() == want.states.tobytes(), (n, factor)
 
 
 @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -1.0, 1e308])

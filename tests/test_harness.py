@@ -55,7 +55,7 @@ def linear_model(a: float) -> SdeModel:
         drift=lambda x: a * x,
         diffusion=lambda x: np.zeros(x.shape + (1,)),
         drift_jacobian=lambda x: np.broadcast_to(np.array([[a]]), x.shape + (1,)).copy(),
-        closed_form_implicit=lambda beta, h, R: np.asarray(R, dtype=float) / (1.0 - h * beta * a),
+        closed_form_implicit=lambda beta, h: lambda R: R / (1.0 - h * beta * a),
         L=1.0,
         eta=1.0,
         q=1.0,
@@ -333,6 +333,28 @@ def test_engine_evaluates_the_diffusion_once_per_step():
     assert len(calls) == cfg.ref_steps + max(cfg.levels) * len(cfg.schemes) == 350
 
 
+def test_engine_settles_each_closed_form_once_per_block_and_stepper():
+    calls = []
+
+    def closed_form_implicit(beta, h):
+        calls.append((beta, h))
+        return VOL32.closed_form_implicit(beta, h)
+
+    cfg = ExperimentConfig(
+        model=dataclasses.replace(VOL32, closed_form_implicit=closed_form_implicit), x0=(1.0,),
+        schemes=("eulm", "bem", "bdf2"), levels=(25, 50, 100), samples=10, ref_steps=200,
+        base_seed=4, batch_size=5,
+    )
+    counted = run_convergence_study(cfg).render_csv()
+    assert counted == run_convergence_study(dataclasses.replace(cfg, model=VOL32)).render_csv()
+    # one pass: the BDF2 reference settles its recursion and its BEM starter once; the lockstep
+    # bem stepper settles its recursion once per level block, the bdf2 stepper both
+    fine = cfg.fine_grid.h
+    level_h = [cfg.level_grid(n).h for n in (100, 50, 25)]
+    assert calls == ([(2.0 / 3.0, fine), (1.0, fine)] + [(1.0, h) for h in level_h]
+                     + [(2.0 / 3.0, h) for h in level_h] + [(1.0, h) for h in level_h])
+
+
 def test_toy2d_study_makes_exactly_k_newton_updates_per_implicit_solve(monkeypatch):
     calls = {"drift": 0, "jacobian": 0, "diffusion": 0, "solve": 0}
 
@@ -529,7 +551,7 @@ GBM = SdeModel(
     drift=lambda x: GBM_MU * x,
     diffusion=lambda x: (GBM_SIGMA * x)[..., None],
     drift_jacobian=lambda x: np.full(x.shape + (1,), GBM_MU),
-    closed_form_implicit=lambda beta, h, R: np.asarray(R, dtype=float) / (1.0 - beta * h * GBM_MU),
+    closed_form_implicit=lambda beta, h: lambda R: R / (1.0 - beta * h * GBM_MU),
     L=1.0,
     eta=1.0,
     q=1.0,

@@ -1,5 +1,6 @@
 """Unit tests for the steppers, the implicit solvers, and trajectory integration."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -63,7 +64,7 @@ def linear_model(a: float) -> SdeModel:
         drift=lambda x: a * x,
         diffusion=lambda x: np.zeros(x.shape + (1,)),
         drift_jacobian=lambda x: np.broadcast_to(np.array([[a]]), x.shape + (1,)).copy(),
-        closed_form_implicit=lambda beta, h, R: np.asarray(R, dtype=float) / (1.0 - h * beta * a),
+        closed_form_implicit=lambda beta, h: lambda R: R / (1.0 - h * beta * a),
         L=max(abs(a), 1.0),
         eta=1.0,
         q=1.0,
@@ -240,11 +241,11 @@ def test_settled_closed_form_is_the_per_call_formula_bitwise(h):
                 R = _random_rhs(rng)
                 want = _closed_form_per_call(params.lam, beta, h, R)
                 hits = _closed_form_32vol_solver.cache_info().hits
-                got = params.closed_form_implicit(beta, h, R)
+                got = params.closed_form_implicit(beta, h)(R)
                 assert _round == 0 or _closed_form_32vol_solver.cache_info().hits == hits + 1
                 assert got.tobytes() == want.tobytes()
                 assert closed_form_32vol(params.lam, 9.0, beta, h, R).tobytes() == want.tobytes()
-                x = params.closed_form_implicit(beta, h, float(R[7, 0]))
+                x = closed_form_32vol(params.lam, 9.0, beta, h, float(R[7, 0]))
                 assert isinstance(x, float) and x == want[7, 0]
 
 
@@ -278,6 +279,21 @@ def test_solve_implicit_enforces_the_step_bound():
     loose = ImplicitSolverConfig(enforce_step_bound=False)
     x = solve_implicit(VOL32, 1.0, 1.2, np.array([1.0]), loose)
     assert residual(VOL32, 1.0, 1.2, x, np.array([1.0])) <= 1e-12 * 2.0
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "newton"])
+@pytest.mark.parametrize("shape", [(), (3, 2), (2,), (4, 1, 1)])
+def test_solve_implicit_rejects_an_rhs_of_the_wrong_shape(mode, shape):
+    # a 0-d R made Newton fail on len(); a (3, 2) R came back from the m=1 closed form as (3, 2)
+    message = rf"^R must have shape \(1,\) or \(B, 1\), got {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        solve_implicit(VOL32, 1.0, 0.01, np.ones(shape), ImplicitSolverConfig(mode=mode))
+
+
+@pytest.mark.parametrize("R", [1.0, [1.0, 2.0, 3.0], [[1.0], [2.0]]])
+def test_solve_implicit_rejects_an_rhs_of_the_wrong_shape_for_newton_models(R):
+    with pytest.raises(ValueError, match=r"^R must have shape \(2,\) or \(B, 2\), got "):
+        solve_implicit(TOY, 1.0, 0.01, R, ImplicitSolverConfig(mode="newton"))
 
 
 def test_solve_implicit_fixed_point_at_zero():
@@ -616,12 +632,23 @@ def test_integrate_validates_inputs():
     other = TimeGrid(T=1.0, N=20)
     inc = zero_table(grid)
     cfg = ImplicitSolverConfig()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"grid \(N, h\) = \(10, 0.1\) does not match"):
         integrate(VOL32, BACKWARD_EULER, cfg, other, inc, [1.0], second_init="bem")
     with pytest.raises(ValueError):
         integrate(TOY, BACKWARD_EULER, cfg, grid, inc, [1.0, 2.0], second_init="bem")
     with pytest.raises(ValueError):
         integrate(VOL32, BACKWARD_EULER, cfg, grid, inc, [1.0, 2.0], second_init="bem")
+
+
+@pytest.mark.parametrize("ulps", [3, -3, 1000])
+def test_integrate_rejects_a_table_whose_h_is_off_by_more_than_rounding(ulps):
+    # T = h*N rounded is at most an ulp off; three ulps of T is another grid
+    grid = TimeGrid(T=1.0, N=10)
+    off = TimeGrid(T=1.0 + ulps * np.finfo(float).eps, N=10)
+    with pytest.raises(ValueError, match="does not match the integration grid"):
+        integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(off), [1.0])
+    ok = TimeGrid(T=float(np.nextafter(1.0, 0.0)), N=10)
+    integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(ok), [1.0])
 
 
 def test_integrate_rejects_a_non_finite_initial_state():
@@ -762,6 +789,24 @@ def test_bdf2_integrate_calls_the_diffusion_once_per_step_and_no_history_drift()
     inc = generate_increments(grid, 1, SeedSpec(2, 0))
     integrate(model, BDF2, ImplicitSolverConfig(mode="closed_form"), grid, inc, [1.0], second_init="bem")
     assert counts == {"drift": 0, "diffusion": grid.N}
+
+
+@pytest.mark.parametrize("steps", [50, 500])
+def test_bdf2_integrate_settles_each_closed_form_once(steps):
+    calls = []
+
+    def closed_form_implicit(beta, h):
+        calls.append((beta, h))
+        return VOL32.closed_form_implicit(beta, h)
+
+    model = replace(VOL32, closed_form_implicit=closed_form_implicit)
+    grid = TimeGrid(T=1.0, N=steps)
+    inc = generate_increments(grid, 1, SeedSpec(2, 0))
+    got = integrate(model, BDF2, ImplicitSolverConfig(), grid, inc, [1.0])
+    # the recursion's solve and the BEM starter's, each settled when the stepper is built
+    assert calls == [(2.0 / 3.0, grid.h), (1.0, grid.h)]
+    want = integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, inc, [1.0])
+    assert got.states.tobytes() == want.states.tobytes()
 
 
 def test_integrate_single_step_grid_with_two_step_scheme():
