@@ -128,9 +128,13 @@ class ToyCubic2D:
     components on a fast time scale.  Coercivity with q = 3 requires
     sigma < sqrt(2)/3; that is the in-theory regime.
 
-    Drift, diffusion and Jacobian take the whole ``(..., 2)`` array at once
-    (A x reads ``x[..., ::-1]``), as Newton calls them on every update, and
-    keep the floating-point expressions (so the bits) of the componentwise forms.
+    Drift, diffusion and Jacobian keep the floating-point expressions (so
+    the bits) of the componentwise forms.  Newton calls them on every
+    update, so each array operation runs over whole rows: ``x**3`` and
+    ``x**2`` over the contiguous ``(..., 2)`` array, and every other
+    operand a contiguous array or a 1-d view of one component, never a
+    reversed view or a strided write into pairs, over which numpy loops
+    per row.
     """
 
     lam: float
@@ -140,6 +144,12 @@ class ToyCubic2D:
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be a finite real >= 0, got {self.lam}")
         _check_sigma(self)
+        # the entries of A and sigma, settled once (not fields: eq and repr keep theirs)
+        a_off = 0.5 * (1.0 - self.lam)
+        object.__setattr__(self, "_a_diag", _const(0.5 * (1.0 + self.lam)))
+        object.__setattr__(self, "_a_off", _const(a_off))
+        object.__setattr__(self, "_minus_a_off", _const(-a_off))
+        object.__setattr__(self, "_sigma", _const(self.sigma))
 
     @property
     def in_theory(self) -> bool:
@@ -157,23 +167,28 @@ class ToyCubic2D:
         return 0.5 * np.array([[1.0 + lam, 1.0 - lam], [1.0 - lam, 1.0 + lam]])
 
     def drift(self, x: np.ndarray) -> np.ndarray:
-        a_diag = 0.5 * (1.0 + self.lam)
-        a_off = 0.5 * (1.0 - self.lam)
+        # A x: the off-diagonal entry takes the other component, from a swapped copy
+        swapped = np.empty(x.shape)
+        swapped[..., 0] = x[..., 1]
+        swapped[..., 1] = x[..., 0]
         # x**3 stays a pow call (libm or SIMD): x*x*x rounds differently and would move every pin
-        return x - x**3 - (a_diag * x + a_off * x[..., ::-1])
+        return x - x**3 - (self._a_diag * x + self._a_off * swapped)
 
     def diffusion(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[:-1] + (4,), dtype=float)
-        out[..., ::3] = self.sigma * x**2
-        return out.reshape(x.shape + (2,))
+        diagonal = self._sigma * x**2
+        out = np.zeros(x.shape + (2,))
+        out[..., 0, 0] = diagonal[..., 0]
+        out[..., 1, 1] = diagonal[..., 1]
+        return out
 
     def drift_jacobian(self, x: np.ndarray) -> np.ndarray:
-        a_diag = 0.5 * (1.0 + self.lam)
-        a_off = 0.5 * (1.0 - self.lam)
-        out = np.empty(x.shape[:-1] + (4,), dtype=float)
-        out[..., 1:3] = -a_off
-        out[..., ::3] = 1.0 - 3.0 * x**2 - a_diag
-        return out.reshape(x.shape + (2,))
+        diagonal = 1.0 - 3.0 * x**2 - self._a_diag
+        out = np.empty(x.shape + (2,))
+        out[..., 0, 0] = diagonal[..., 0]
+        out[..., 0, 1] = self._minus_a_off
+        out[..., 1, 0] = self._minus_a_off
+        out[..., 1, 1] = diagonal[..., 1]
+        return out
 
     def as_sde_model(self) -> SdeModel:
         return SdeModel(

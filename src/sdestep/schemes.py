@@ -134,8 +134,20 @@ def _noise_product(d: int):
     if d == 1:
         return lambda g, dW: g[..., 0] * dW
     if d == 2:
-        return lambda g, dW: g[..., 0] * dW[..., 0:1] + g[..., 1] * dW[..., 1:2]
+        return _noise_product_2
     return partial(np.einsum, "...md,...d->...m")
+
+
+def _noise_product_2(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """g @ dW for d = 2, one output component at a time from 1-d views,
+    ``g[..., i, 0] * dW[..., 0] + g[..., i, 1] * dW[..., 1]``: each operation
+    loops once over all rows, where a broadcast ``dW[..., 0:1]`` operand
+    makes numpy loop over each row's m entries on their own."""
+    out = np.empty(g.shape[:-1])
+    dW0, dW1 = dW[..., 0], dW[..., 1]
+    for i in range(g.shape[-2]):
+        out[..., i] = g[..., i, 0] * dW0 + g[..., i, 1] * dW1
+    return out
 
 
 def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -230,7 +242,7 @@ def _solve_linear(A: np.ndarray, b: np.ndarray):
     else:
         det = np.linalg.det(A)
     bad = np.abs(det) < _SINGULAR_TOL
-    if bad.any():
+    if np.count_nonzero(bad):
         if b.ndim == 1:
             raise SolverSingularError(f"singular Newton linearization (|det|={abs(float(det)):.3e})")
         # a bad row gets a NaN right-hand side (and, for LU, the identity): it solves to NaN
@@ -251,13 +263,13 @@ def _newton_solve(drift, jacobian, eye: np.ndarray, bh: np.ndarray, bh_jacobian:
     """Exactly ``iterations`` Newton updates for x - bh*f(x) = R, started from R.
 
     :func:`_solve_core` binds f, its Jacobian, the identity and beta*h once:
-    ``bh`` multiplies f(x) and ``bh_jacobian`` the Jacobian, as per-row
-    operands shaped like each; R may be their first ``len(R)`` rows.  Each
-    update makes one call of f, of its Jacobian and of :func:`_solve_linear`:
-    most of a Newton study's time.
+    ``bh`` multiplies f(x), ``bh_jacobian`` the Jacobian and ``eye`` is the
+    identity of every row, as per-row operands shaped like each; R may be
+    their first ``len(R)`` rows.  Each update makes one call of f, of its
+    Jacobian and of :func:`_solve_linear`: most of a Newton study's time.
     """
     rows = len(R)
-    bh, bh_jacobian = bh[:rows], bh_jacobian[:rows]
+    eye, bh, bh_jacobian = eye[:rows], bh[:rows], bh_jacobian[:rows]
     x = R
     for _ in range(iterations):
         phi = x - bh * drift(x) - R
@@ -296,9 +308,11 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
     ``closed_form_implicit(beta, h)`` call per block, and each settled solve
     runs on its block's rows (one block is that solve itself); Newton
     (:func:`_newton_solve`) runs once over all rows, with beta*h as per-row
-    operands of the shapes of f, ``shape``, and of its Jacobian.  A
-    non-finite row (or single state) runs through its arithmetic and comes
-    back non-finite; rows are independent, so the others keep their bits.
+    operands of the shapes of f, ``shape``, and of its Jacobian, and the
+    identity as a per-row operand too (a broadcast ``(m, m)`` one makes numpy
+    loop over each row's m*m entries on their own).  A non-finite row (or
+    single state) runs through its arithmetic and comes back non-finite;
+    rows are independent, so the others keep their bits.
     """
     if not (beta > 0.0):
         raise ValueError(f"implicit solve needs beta > 0, got {beta}")
@@ -325,23 +339,27 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
         raise ValueError("Newton solve requires the model to provide drift_jacobian")
     m = model.state_dim
     bh = tuple(beta * step for step in h)
-    return partial(_newton_solve, model.drift, model.drift_jacobian, np.eye(m),
-                   _per_row(bh, shape), _per_row(bh, shape + (m,)), cfg.newton_iterations)
+    return partial(_newton_solve, model.drift, model.drift_jacobian,
+                   np.tile(np.eye(m), shape[:-1] + (1, 1)), _per_row(bh, shape),
+                   _per_row(bh, shape + (m,)), cfg.newton_iterations)
 
 
 def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolverConfig):
     """Solve the implicit step equation x - h*beta*f(x) = R.
 
     Requires ``0 < h*beta*L < 1`` unless ``cfg.enforce_step_bound`` is off.
-    Non-finite rows of R go through the solve and come back non-finite — an
-    exploded sample is data, not an error.  Newton starts from R.  R must
-    have shape ``(m,)`` or ``(B, m)`` with ``m = model.state_dim``.
+    Non-finite rows of R go through the solve and come back non-finite,
+    without a floating-point warning — an exploded sample is data, not an
+    error.  Newton starts from R.  R must have shape ``(m,)`` or ``(B, m)``
+    with ``m = model.state_dim``.
     """
     R = np.asarray(R, dtype=float)
     m = model.state_dim
     if R.ndim not in (1, 2) or R.shape[-1] != m:
         raise ValueError(f"R must have shape ({m},) or (B, {m}), got {R.shape}")
-    return _solve_core(model, beta, (h,), cfg, R.shape)(R)
+    solve = _solve_core(model, beta, (h,), cfg, R.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return solve(R)
 
 
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
@@ -388,33 +406,37 @@ def _rhs_terms(coeffs: SchemeCoefficients, h: np.ndarray) -> tuple:
 def _rhs(coeffs: SchemeCoefficients, h: np.ndarray):
     """R of one step as one callable of the history entries ``(U_i, n_i, f_i)``,
     oldest first, from the terms of ``coeffs`` at the per-row step sizes ``h``
-    (:func:`_rhs_terms`).
+    (:func:`_rhs_terms`): :func:`_rhs_form` with the factors bound, in order."""
+    factors = [factor for a, rest in _rhs_terms(coeffs, h)
+               for _, factor in ((0, a), *rest) if factor is not None]
+    return _rhs_form(coeffs)(*factors)
 
-    The sum is written out as one expression, such as
-    ``(c0 * history[0][0] + c1 * history[0][1]) + (c2 * history[1][0] + history[1][1])``
-    for BDF2, compiled once per text (:func:`_compiled`) with the factors
-    bound to ``c0, c1, ...``, so a step runs only its products and sums.  Each state's contribution is formed in full
-    before it is added to R; every stepper sums in this one order, so they
-    agree bit for bit.
+
+@lru_cache
+def _rhs_form(coeffs: SchemeCoefficients):
+    """The sum R of ``coeffs`` written out as one expression and compiled,
+    once per coefficient tuple, as a function of its factors ``c0, c1, ...``
+    that returns R as a function of the history.
+
+    For BDF2 the expression is
+    ``(c0 * history[0][0] + c1 * history[0][1]) + (c2 * history[1][0] + history[1][1])``,
+    so a step runs only its products and sums.  Each state's contribution is
+    formed in full before it is added to R; every stepper sums in this one
+    order, so they agree bit for bit.  Which factors exist (a factor of
+    exactly 1 is None) depends on ``coeffs`` alone, so any step size serves here.
     """
-    factors, sums = [], []
-    for i, (a, rest) in enumerate(_rhs_terms(coeffs, h)):
+    sums, count = [], 0
+    for i, (a, rest) in enumerate(_rhs_terms(coeffs, 1.0)):
         terms = []
         for slot, factor in ((0, a), *rest):
             term = f"history[{i}][{slot}]"
             if factor is not None:
-                term = f"c{len(factors)} * {term}"
-                factors.append(factor)
+                term = f"c{count} * {term}"
+                count += 1
             terms.append(term)
         sums.append("(" + " + ".join(terms) + ")")
-    names = ", ".join(f"c{j}" for j in range(len(factors)))
-    return _compiled(f"lambda {names}: lambda history: {' + '.join(sums)}")(*factors)
-
-
-@lru_cache
-def _compiled(source: str):
-    """``source``, an expression built by :func:`_rhs`, evaluated once per text."""
-    return eval(source)
+    names = ", ".join(f"c{j}" for j in range(count))
+    return eval(f"lambda {names}: lambda history: {' + '.join(sums)}")
 
 
 def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drifts, increments):

@@ -168,6 +168,20 @@ def reference_toy2d(params, x):
     return np.stack([f1, f2], axis=-1), g, jf
 
 
+def whole_array_toy2d(params, x):
+    """Drift, diffusion and Jacobian by the whole-array forms the model used before it
+    wrote them by component: a reversed view for A x and a ``(..., 4)`` buffer."""
+    a_diag = 0.5 * (1.0 + params.lam)
+    a_off = 0.5 * (1.0 - params.lam)
+    f = x - x**3 - (a_diag * x + a_off * x[..., ::-1])
+    g = np.zeros(x.shape[:-1] + (4,), dtype=float)
+    g[..., ::3] = params.sigma * x**2
+    jf = np.empty(x.shape[:-1] + (4,), dtype=float)
+    jf[..., 1:3] = -a_off
+    jf[..., ::3] = 1.0 - 3.0 * x**2 - a_diag
+    return f, g.reshape(x.shape + (2,)), jf.reshape(x.shape + (2,))
+
+
 def assert_same_bits(got, want):
     """Equal shape and dtype, NaN at the same places and every other value bit for bit."""
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -190,10 +204,11 @@ def test_toy2d_whole_array_kernels_keep_the_componentwise_bits(lam, sigma):
         batch[::3],  # a strided view
     ]
     for x in inputs:
-        f, g, jf = reference_toy2d(params, x)
-        assert_same_bits(params.drift(x), f)
-        assert_same_bits(params.diffusion(x), g)
-        assert_same_bits(params.drift_jacobian(x), jf)
+        for reference in (reference_toy2d, whole_array_toy2d):
+            f, g, jf = reference(params, x)
+            assert_same_bits(params.drift(x), f)
+            assert_same_bits(params.diffusion(x), g)
+            assert_same_bits(params.drift_jacobian(x), jf)
 
 
 # ------------------------------------------------------ factory validation

@@ -31,7 +31,14 @@ from sdestep import (
     step_lmm,
 )
 from sdestep.brownian import IncrementTable
-from sdestep.schemes import _closed_form_32vol_solver, _rhs_terms, _solve_linear
+from sdestep.schemes import (
+    _closed_form_32vol_solver,
+    _noise_product,
+    _rhs_form,
+    _rhs_terms,
+    _solve_core,
+    _solve_linear,
+)
 
 VOL32_PARAMS, VOL32 = make_model("vol32", 4.0, 1.0)
 TOY_PARAMS, TOY = make_model("toy2d", 96.0, 0.47)
@@ -251,17 +258,20 @@ def test_settled_closed_form_is_the_per_call_formula_bitwise(h):
 
 def test_settled_operands_are_read_only_float64_scalars():
     params = make_model("vol32", 4.0, 1.0)[0]
+    toy = make_model("toy2d", 96.0, 0.47)[0]
     settled = [*_closed_form_32vol_solver(4.0, 1.0, 0.01).args,
                *_closed_form_32vol_solver(4.0, 1.0, 1e-156).args,
-               params._lam, params._sigma]
+               params._lam, params._sigma, toy._a_diag, toy._a_off, toy._minus_a_off, toy._sigma]
     settled += [a for a, rest in _rhs_terms(BDF2, np.full(1, 0.01)) if a is not None]
-    assert len(settled) == 9
+    assert len(settled) == 13
     for value in settled:
         assert value.shape == () and value.dtype == np.float64
         with pytest.raises(ValueError):
             value[()] = 1.0
     assert repr(params) == "ThreeHalvesVol(lam=4.0, sigma=1.0)"
     assert params == make_model("vol32", 4.0, 1.0)[0]
+    assert repr(toy) == "ToyCubic2D(lam=96.0, sigma=0.47)"
+    assert toy == make_model("toy2d", 96.0, 0.47)[0] and hash(toy) == hash(make_model("toy2d", 96.0, 0.47)[0])
 
 
 # -------------------------------------------------------------- solve_implicit
@@ -416,6 +426,24 @@ def test_non_finite_rhs_propagates_as_nan(model, mode, h, scale, bad):
         assert out[i].tobytes() == alone.tobytes(), i
 
 
+@pytest.mark.parametrize(
+    "model,mode,R",
+    [
+        (VOL32, "auto", [[np.inf], [1.0]]),  # the closed form
+        (VOL32, "newton", [[np.inf], [1.0]]),
+        (TOY, "newton", [[np.inf, 1.0], [1.0, -2.0]]),
+    ],
+    ids=["vol32-closed-form", "vol32-newton", "toy2d-newton"],
+)
+def test_solve_implicit_is_silent_on_a_non_finite_row(model, mode, R):
+    # integrate and the study engine run the same arithmetic under np.errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_implicit(model, 2.0 / 3.0, 0.004, np.array(R), ImplicitSolverConfig(mode=mode))
+    assert not np.isfinite(out[0]).any()
+    assert np.isfinite(out[1]).all()
+
+
 def singular_at_origin(model: SdeModel, bh: float) -> SdeModel:
     """``model`` with its Jacobian set to I/bh at x = 0, where DPhi = I - bh*J is then singular."""
     eye = np.eye(model.state_dim)
@@ -527,6 +555,37 @@ def test_newton_starts_from_the_rhs():
     assert np.allclose(got, one_update(R.copy()), rtol=0, atol=1e-16)
 
 
+def newton_with_a_broadcast_identity(model, bh, iterations, R):
+    """Newton for x - bh*f(x) = R as it ran with one ``np.eye(m)`` broadcast over the rows."""
+    eye = np.eye(model.state_dim)
+    x = R
+    for _ in range(iterations):
+        phi = x - bh * model.drift(x) - R
+        x = x - _solve_linear(eye - bh * model.drift_jacobian(x), phi)
+    return x
+
+
+@pytest.mark.parametrize("h", [(0.004,), (0.004, 0.002, 0.001)], ids=["one-block", "three-blocks"])
+@pytest.mark.parametrize("model,scale", [(VOL32, 5.0), (TOY, 30.0), (SPD3, 3.0)],
+                         ids=["m1", "m2", "m3"])
+def test_newton_with_a_per_row_identity_keeps_the_broadcast_bits(model, scale, h):
+    cfg = ImplicitSolverConfig(mode="newton")
+    beta, block = 2.0 / 3.0, 4
+    R = np.random.default_rng(21).uniform(-scale, scale, size=(block * len(h), model.state_dim))
+    R[1] = np.inf
+    R[-2, 0] = -0.0
+    solve = _solve_core(model, beta, h, cfg, R.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for blocks in range(len(h), 0, -1):  # all rows, then each prefix a narrowed stepper keeps
+            rows = blocks * block
+            got = solve(R[:rows])
+            for i in range(blocks):
+                part = slice(i * block, (i + 1) * block)
+                want = newton_with_a_broadcast_identity(model, beta * h[i], cfg.newton_iterations,
+                                                        R[part])
+                assert_same_bits(got[part], want)
+
+
 # ------------------------------------------------------------------- steppers
 
 
@@ -609,6 +668,46 @@ def test_generic_stepper_matches_dedicated_steppers():
         bdf_direct = step_bdf2(VOL32, cfg, x1, x2, h, dw1, dw0)
         bdf_generic, _ = step_lmm(VOL32, cfg, BDF2, [x2, x1], [f2, f1], [dw0, dw1], h)
         assert np.array_equal(bdf_direct, bdf_generic)
+
+
+def j_ordered_noise(g, dW):
+    """g @ dW entry by entry, each entry summed over j = 0, 1, ... in order."""
+    out = np.empty(g.shape[:-1])
+    for index in np.ndindex(*g.shape[:-1]):
+        terms = g[index] * dW[index[:-1]]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        out[index] = total
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_two_dimensional_noise_product_is_the_j_ordered_sum(m):
+    rng = np.random.default_rng(23)
+    g = rng.normal(size=(40, m, 2))
+    dW = rng.normal(size=(40, 2))
+    g[:4, 0, 0] = [np.inf, -np.inf, np.nan, -0.0]
+    dW[4:8, 1] = [np.inf, -np.inf, np.nan, -0.0]
+    g[8] = -0.0
+    product = _noise_product(2)
+    with np.errstate(invalid="ignore"):
+        # the broadcast form the product had before it was written by component
+        broadcast = g[..., 0] * dW[..., 0:1] + g[..., 1] * dW[..., 1:2]
+        for rows in (slice(None), 3, 8):  # a batch and single states
+            got = product(g[rows], dW[rows])
+            assert_same_bits(got, j_ordered_noise(g[rows], dW[rows]))
+            assert_same_bits(got, broadcast[rows])
+
+
+def test_bare_steps_build_their_rhs_form_once_and_repeat_bitwise():
+    cfg = ImplicitSolverConfig()
+    x1, x2 = np.array([[0.7], [-1.2]]), np.array([[0.5], [2.0]])
+    dw1, dw0 = np.array([[0.03], [-0.02]]), np.array([[-0.01], [0.04]])
+    _rhs_form.cache_clear()
+    states = [step_bdf2(VOL32, cfg, x1, x2, 0.01, dw1, dw0) for _ in range(3)]
+    assert _rhs_form.cache_info().misses == 1 and _rhs_form.cache_info().hits == 2
+    assert states[0].tobytes() == states[1].tobytes() == states[2].tobytes()
 
 
 def test_crank_nicolson_style_preset_hand_value():
