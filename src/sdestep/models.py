@@ -347,7 +347,8 @@ def check_monotonicity(
     even though the formula itself would evaluate fine.
     """
     _require_positive_finite(L=L, box=box, eta=eta)
-    _require_count(0, n_pairs=n_pairs)
+    _require_count(0, n_pairs=n_pairs, seed=seed)
+    _require_count(1, state_dim=state_dim)
     if not (eta > 0.5):
         raise ValueError(f"monotonicity weight eta must exceed 1/2, got {eta}")
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
@@ -377,7 +378,8 @@ def check_coercivity(
     over the deterministic lattice plus ``n_points`` seeded uniform states.
     """
     _require_positive_finite(L=L, box=box)
-    _require_count(0, n_points=n_points)
+    _require_count(0, n_points=n_points, seed=seed)
+    _require_count(1, state_dim=state_dim)
     x = _point_set(box, state_dim, n_points, seed)
     fx = f(x)
     gx = g(x)
@@ -402,7 +404,8 @@ def check_local_lipschitz_f(
         |f(x1) - f(x2)|  <=  L (1 + |x1|^{q-1} + |x2|^{q-1}) |x1 - x2|.
     """
     _require_positive_finite(L=L, box=box)
-    _require_count(0, n_pairs=n_pairs)
+    _require_count(0, n_pairs=n_pairs, seed=seed)
+    _require_count(1, state_dim=state_dim)
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
     df = f(x1) - f(x2)
     dx = x1 - x2

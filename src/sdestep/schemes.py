@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .core import BACKWARD_EULER, BDF2, GridFunction, SchemeCoefficients, SdeModel, TimeGrid
-from .core import _const, _require_count
+from .core import EXPLICIT_EULER, _const, _require_count, _require_positive_finite
 from .brownian import IncrementTable
 
 __all__ = [
@@ -190,11 +190,15 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
 def _closed_form_32vol_solver(lam: float, beta: float, h: float):
     """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
 
-    Checks ``beta*h*lam > 0`` and the finiteness of ``c``, picks the branch
-    and holds its constants as read-only 0-d float64 arrays (``solve.args``),
+    Checks that lam, beta and h are finite (naming the one that is not),
+    ``beta*h*lam > 0`` and the finiteness of ``c``, picks the branch and
+    holds its constants as read-only 0-d float64 arrays (``solve.args``),
     so a call does only the array arithmetic, in the order of the formula.
     R must be a float64 array: the root converts nothing.
     """
+    for name, value in (("lam", lam), ("beta", beta), ("h", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"the closed-form solve needs a finite {name}, got {value}")
     bh = beta * h
     if not (bh * lam > 0.0):
         raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")
@@ -314,8 +318,7 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
     single state) runs through its arithmetic and comes back non-finite;
     rows are independent, so the others keep their bits.
     """
-    if not (beta > 0.0):
-        raise ValueError(f"implicit solve needs beta > 0, got {beta}")
+    _require_positive_finite(beta=beta)
     for step in h:
         if not (step > 0.0 and math.isfinite(step)):
             raise StepSizeError(f"step size must be a positive finite real, got {step}")
@@ -362,6 +365,74 @@ def solve_implicit(model: SdeModel, beta: float, h: float, R, cfg: ImplicitSolve
         return solve(R)
 
 
+@lru_cache
+def _rhs_form(coeffs: SchemeCoefficients):
+    """The sum R of ``coeffs``, written out as one expression and compiled
+    once per coefficient tuple, with its constant factors settled.
+
+    Entry i of the history belongs to the old state U_i (oldest first) and
+    is ``(U_i, n_i, f_i)``, with the noise product ``n_i = g(U_i) dW`` and
+    ``f_i = f(U_i)``.  U_i contributes ``-alpha_i U_i``, then ``h beta_i f_i``
+    and ``gamma_i n_i`` where those factors are non-zero; each state's sum is
+    formed in full before it is added to R, and every stepper sums in this
+    one order, so they agree bit for bit.  For BDF2 the expression is
+    ``(c0 * history[0][0] + c1 * history[0][1]) + (c2 * history[1][0] + history[1][1])``.
+    The constants ``c0, c1, ...`` (-alpha_i and gamma_i) are read-only 0-d
+    float64 arrays (:func:`core._const`); one of exactly 1 is not
+    multiplied, since ``x * 1.0 == x`` bit for bit.
+
+    Returns ``form(*h_factors)``: it takes the per-row operands ``h beta_i``
+    for each non-zero beta_i (i < k), oldest first, and returns R as a
+    function of the history.  The constants are ``form.args``.
+    """
+    constants, h_names, sums = [], [], []
+
+    def times(factor, term):
+        if factor == 1.0:
+            return term
+        constants.append(_const(factor))
+        return f"c{len(constants) - 1} * {term}"
+
+    for i in range(coeffs.k):
+        terms = [times(-coeffs.alpha[i], f"history[{i}][0]")]
+        if coeffs.beta[i] != 0.0:
+            h_names.append(f"b{len(h_names)}")
+            terms.append(f"{h_names[-1]} * history[{i}][2]")
+        if coeffs.gamma[i] != 0.0:
+            terms.append(times(coeffs.gamma[i], f"history[{i}][1]"))
+        sums.append("(" + " + ".join(terms) + ")")
+    names = ", ".join([f"c{j}" for j in range(len(constants))] + h_names)
+    return partial(eval(f"lambda {names}: lambda history: {' + '.join(sums)}"), *constants)
+
+
+def _step(model: SdeModel, cfg: ImplicitSolverConfig, coeffs: SchemeCoefficients, h: float,
+          states, drifts, increments):
+    """One bare step of ``coeffs`` from its k old states, their drifts and
+    increments, oldest first: R through :func:`_rhs_form`, then the solve.
+
+    A drift that is None is evaluated here where its beta_i is non-zero; the
+    diffusion only for states whose gamma_i is non-zero.  Runs under the
+    ``np.errstate`` of :func:`integrate`, so a non-finite row is silent.
+    :func:`solve_implicit` is looked up by name at each call, so a layer
+    trace that wraps it in this module sees every bare solve.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        history = []
+        for x, f, dW, beta, gamma in zip(states, drifts, increments, coeffs.beta, coeffs.gamma):
+            x = np.asarray(x, dtype=float)
+            if f is None and beta != 0.0:
+                f = model.drift(x)
+            noise = None
+            if gamma != 0.0:
+                noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
+            history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
+        h_factors = [_per_row((h * b,), x.shape) for b in coeffs.beta[:coeffs.k] if b != 0.0]
+        R = _rhs_form(coeffs)(*h_factors)(history)
+        if not coeffs.implicit:
+            return R
+        return solve_implicit(model, coeffs.beta[coeffs.k], h, R, cfg)
+
+
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     """One classical Euler-Maruyama step: x + h f(x) + g(x) dW.
 
@@ -369,89 +440,7 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     the dynamics run away — that behaviour is the point of keeping this
     scheme around as a comparison baseline.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    return x_prev + h * model.drift(x_prev) + _apply_noise(model.diffusion(x_prev), dW)
-
-
-def _rhs_terms(coeffs: SchemeCoefficients, h: np.ndarray) -> tuple:
-    """The right-hand side R of a k-step recursion as per-state operand lists.
-
-    Entry i belongs to the old state U_i (oldest first), whose history
-    entry is ``(U_i, n_i, f_i)`` with the noise product ``n_i = g(U_i) dW``
-    and ``f_i = f(U_i)``.  It is ``(a, rest)``: the factor ``-alpha_i`` on
-    U_i, then ``(slot, factor)`` pairs for ``h beta_i`` on f_i and
-    ``gamma_i`` on n_i where those are non-zero.  ``h`` holds the step size
-    of every row in the shape of the state (:func:`_per_row`), so each
-    ``h beta_i`` is a per-row operand.  Of the other factors, one of
-    exactly 1 is stored as None and not multiplied, since ``x * 1.0 == x``
-    bit for bit; any other is a read-only 0-d float64 array
-    (:func:`core._const`).
-    """
-
-    def factor(value):
-        return None if value == 1.0 else _const(value)
-
-    terms = []
-    for i in range(coeffs.k):
-        rest = []
-        if coeffs.beta[i] != 0.0:
-            rest.append((2, h * coeffs.beta[i]))
-        if coeffs.gamma[i] != 0.0:
-            rest.append((1, factor(coeffs.gamma[i])))
-        terms.append((factor(-coeffs.alpha[i]), tuple(rest)))
-    return tuple(terms)
-
-
-def _rhs(coeffs: SchemeCoefficients, h: np.ndarray):
-    """R of one step as one callable of the history entries ``(U_i, n_i, f_i)``,
-    oldest first, from the terms of ``coeffs`` at the per-row step sizes ``h``
-    (:func:`_rhs_terms`): :func:`_rhs_form` with the factors bound, in order."""
-    factors = [factor for a, rest in _rhs_terms(coeffs, h)
-               for _, factor in ((0, a), *rest) if factor is not None]
-    return _rhs_form(coeffs)(*factors)
-
-
-@lru_cache
-def _rhs_form(coeffs: SchemeCoefficients):
-    """The sum R of ``coeffs`` written out as one expression and compiled,
-    once per coefficient tuple, as a function of its factors ``c0, c1, ...``
-    that returns R as a function of the history.
-
-    For BDF2 the expression is
-    ``(c0 * history[0][0] + c1 * history[0][1]) + (c2 * history[1][0] + history[1][1])``,
-    so a step runs only its products and sums.  Each state's contribution is
-    formed in full before it is added to R; every stepper sums in this one
-    order, so they agree bit for bit.  Which factors exist (a factor of
-    exactly 1 is None) depends on ``coeffs`` alone, so any step size serves here.
-    """
-    sums, count = [], 0
-    for i, (a, rest) in enumerate(_rhs_terms(coeffs, 1.0)):
-        terms = []
-        for slot, factor in ((0, a), *rest):
-            term = f"history[{i}][{slot}]"
-            if factor is not None:
-                term = f"c{count} * {term}"
-                count += 1
-            terms.append(term)
-        sums.append("(" + " + ".join(terms) + ")")
-    names = ", ".join(f"c{j}" for j in range(count))
-    return eval(f"lambda {names}: lambda history: {' + '.join(sums)}")
-
-
-def _lmm_rhs(model: SdeModel, coeffs: SchemeCoefficients, h: float, states, drifts, increments):
-    """R of one step from its k old states, their drifts and increments, oldest first.
-
-    The diffusion is evaluated only for states whose gamma is non-zero.
-    """
-    history = []
-    for x, f, dW, gamma in zip(states, drifts, increments, coeffs.gamma):
-        x = np.asarray(x, dtype=float)
-        noise = None
-        if gamma != 0.0:
-            noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
-        history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
-    return _rhs(coeffs, _per_row((h,), history[-1][0].shape))(history)
+    return _step(model, None, EXPLICIT_EULER, h, [x_prev], [None], [dW])
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
@@ -459,8 +448,7 @@ def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
 
     Assembles R = x_prev + g(x_prev) dW and solves x - h f(x) = R.
     """
-    R = _lmm_rhs(model, BACKWARD_EULER, h, [x_prev], [None], [dW])
-    return solve_implicit(model, 1.0, h, R, cfg)
+    return _step(model, cfg, BACKWARD_EULER, h, [x_prev], [None], [dW])
 
 
 def step_bdf2(
@@ -478,8 +466,7 @@ def step_bdf2(
         R = (-1/3 x_prev2 - 1/3 g(x_prev2) dW_prev) + (4/3 x_prev + g(x_prev) dW_cur)
     and solves x - (2/3) h f(x) = R.
     """
-    R = _lmm_rhs(model, BDF2, h, [x_prev2, x_prev], [None, None], [dW_prev, dW_cur])
-    return solve_implicit(model, 2.0 / 3.0, h, R, cfg)
+    return _step(model, cfg, BDF2, h, [x_prev2, x_prev], [None, None], [dW_prev, dW_cur])
 
 
 def step_lmm(
@@ -505,10 +492,9 @@ def step_lmm(
             f"histories must all have length k={k}, got "
             f"{len(state_history)}/{len(drift_history)}/{len(increment_history)}"
         )
-    R = _lmm_rhs(model, coeffs, h, state_history, drift_history, increment_history)
-    x_next = solve_implicit(model, coeffs.beta[k], h, R, cfg) if coeffs.implicit else R
-    f_next = model.drift(x_next)
-    return x_next, f_next
+    x_next = _step(model, cfg, coeffs, h, state_history, drift_history, increment_history)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return x_next, model.drift(x_next)
 
 
 class _Stepper:
@@ -517,13 +503,14 @@ class _Stepper:
     What does not change from step to step is settled at construction:
     each implicit solve that will run (with its step bound), the noise
     product for the model's noise dimension (:func:`_noise_product`) and R
-    as one callable of the history (:func:`_rhs`).  The history keeps, per
-    old state, the state, its noise product g(U) dW and, only when some
-    beta_i (i < k) is non-zero, its drift; so each step evaluates the
-    diffusion once and BDF2 evaluates no history drift.  The first k-1
-    calls of :meth:`advance` fill the starting values (one drift-implicit
-    Euler step each with ``second_init="bem"``, or copies of x0 with
-    ``"copy"``); after them it runs the recursion.
+    as one callable of the history (:func:`_rhs_form`, bound to the per-row
+    ``h beta_i`` operands).  The history keeps, per old state, the state,
+    its noise product g(U) dW and, only when some beta_i (i < k) is
+    non-zero, its drift; so each step evaluates the diffusion once and BDF2
+    evaluates no history drift.  The first k-1 calls of :meth:`advance`
+    fill the starting values (one drift-implicit Euler step each with
+    ``second_init="bem"``, or copies of x0 with ``"copy"``); after them it
+    runs the recursion.
 
     ``h`` is a tuple with one step size per block of equally many
     consecutive rows of x0; a single state or a plain batch is one block,
@@ -553,27 +540,28 @@ class _Stepper:
         self._start_solve = None
         if k >= 2 and second_init == "bem":
             self._start_solve = _solve_core(model, 1.0, h, solver_cfg, shape)
-        self._drift = model.drift if any(b != 0.0 for b in coeffs.beta[:k]) else None
+        betas = [b for b in coeffs.beta[:k] if b != 0.0]
+        self._drift = model.drift if betas else None
         self._diffusion = model.diffusion
         self._noise = _noise_product(model.noise_dim)
-        self._coeffs = coeffs
-        self._h = _per_row(h, shape)
-        self._rhs = _rhs(coeffs, self._h)
-        self._start_rhs = _rhs(BACKWARD_EULER, self._h)
+        self._form = _rhs_form(coeffs)
+        self._h_factors = tuple(_per_row(tuple(step * b for step in h), shape) for b in betas)
+        self._rhs = self._form(*self._h_factors)
+        self._start_rhs = _rhs_form(BACKWARD_EULER)()
         self._k = k
         self._history = []
         self.advance = self._start if k >= 2 else self._recur
 
     def narrow(self, rows: int) -> None:
         """Keep the first ``rows`` rows, whole blocks: x, the history and the
-        per-row step sizes become views of them, and R is rebuilt over them.
+        ``h beta_i`` operands become views of them, and R is bound to those.
         The solves take any such prefix, and the starter's R holds no per-row
         operand."""
         self.x = self.x[:rows]
         self._history = [tuple(None if v is None else v[:rows] for v in entry)
                          for entry in self._history]
-        self._h = self._h[:rows]
-        self._rhs = _rhs(self._coeffs, self._h)
+        self._h_factors = tuple(factor[:rows] for factor in self._h_factors)
+        self._rhs = self._form(*self._h_factors)
 
     def _start(self, dW: np.ndarray) -> np.ndarray:
         x = self.x

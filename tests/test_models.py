@@ -384,6 +384,26 @@ def test_checkers_reject_negative_sample_counts_and_accept_zero():
             assert check(0).pairs_tested > 0  # the deterministic lattice alone
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("state_dim", 0, "must be >= 1, got 0"),
+    ("state_dim", -1, "must be >= 1, got -1"),
+    ("state_dim", 2.5, "must be an integer, got 2.5"),
+    ("seed", -1, "must be >= 0, got -1"),
+    ("seed", 1.5, "must be an integer, got 1.5"),
+])
+def test_checkers_name_a_bad_state_dim_or_seed(name, value, message):
+    _, model = make_model("vol32", 4.0, 1.0)
+    checks = [
+        lambda **kw: check_monotonicity(model.drift, model.diffusion, eta=2.0, L=1.0, n_pairs=10, **kw),
+        lambda **kw: check_coercivity(model.drift, model.diffusion, L=1.0, q=2.0, n_points=10, **kw),
+        lambda **kw: check_local_lipschitz_f(model.drift, L=1.0, q=2.0, n_pairs=10, **kw),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+            check(**{name: value})
+        assert check(**{name: np.int64(1)}).pairs_tested > 0  # numpy integers pass
+
+
 def test_report_slack_sign_tracks_the_verdict():
     _, model = make_model("vol32", 4.0, 1.0)
     for rep in (

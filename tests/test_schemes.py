@@ -30,12 +30,12 @@ from sdestep import (
     step_explicit_euler,
     step_lmm,
 )
+from sdestep import schemes
 from sdestep.brownian import IncrementTable
 from sdestep.schemes import (
     _closed_form_32vol_solver,
     _noise_product,
     _rhs_form,
-    _rhs_terms,
     _solve_core,
     _solve_linear,
 )
@@ -218,6 +218,29 @@ def test_closed_form_32vol_names_a_step_too_small_for_its_formula():
         closed_form_32vol(4.0, 1.0, 1.0, 1e-320, 1.0)
 
 
+@pytest.mark.parametrize("name,args", [
+    ("lam", (np.inf, 1.0, 0.01)),
+    ("lam", (np.nan, 1.0, 0.01)),
+    ("beta", (4.0, np.inf, 0.01)),
+    ("h", (4.0, 1.0, np.inf)),
+    ("h", (4.0, 1.0, np.nan)),
+])
+def test_closed_form_32vol_names_a_non_finite_parameter(name, args):
+    lam, beta, h = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^the closed-form solve needs a finite {name}, got"):
+            closed_form_32vol(lam, 1.0, beta, h, 0.5)
+
+
+@pytest.mark.parametrize("beta", [np.inf, np.nan, 0.0, -1.0])
+def test_solve_implicit_needs_a_positive_finite_beta(beta):
+    loose = ImplicitSolverConfig(enforce_step_bound=False)
+    for model in (VOL32, TOY):
+        with pytest.raises(ValueError, match=rf"^beta must be a positive finite real, got {beta}$"):
+            solve_implicit(model, beta, 0.01, np.full(model.state_dim, 0.5), loose)
+
+
 def _closed_form_per_call(lam, beta, h, R):
     """The closed form as evaluated before its constants were settled: Python-float operands."""
     bh = beta * h
@@ -262,8 +285,8 @@ def test_settled_operands_are_read_only_float64_scalars():
     settled = [*_closed_form_32vol_solver(4.0, 1.0, 0.01).args,
                *_closed_form_32vol_solver(4.0, 1.0, 1e-156).args,
                params._lam, params._sigma, toy._a_diag, toy._a_off, toy._minus_a_off, toy._sigma]
-    settled += [a for a, rest in _rhs_terms(BDF2, np.full(1, 0.01)) if a is not None]
-    assert len(settled) == 13
+    settled += _rhs_form(BDF2).args  # -1/3 on U_0, -1/3 on its noise, 4/3 on U_1
+    assert len(settled) == 14
     for value in settled:
         assert value.shape == () and value.dtype == np.float64
         with pytest.raises(ValueError):
@@ -698,6 +721,48 @@ def test_two_dimensional_noise_product_is_the_j_ordered_sum(m):
             got = product(g[rows], dW[rows])
             assert_same_bits(got, j_ordered_noise(g[rows], dW[rows]))
             assert_same_bits(got, broadcast[rows])
+
+
+def test_bare_steps_settle_their_constants_once(monkeypatch):
+    cfg = ImplicitSolverConfig()
+    x1, x2 = np.array([[0.7], [-1.2]]), np.array([[0.5], [2.0]])
+    dw1, dw0 = np.array([[0.03], [-0.02]]), np.array([[-0.01], [0.04]])
+    first = step_bdf2(VOL32, cfg, x1, x2, 0.01, dw1, dw0)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return core_const(value)
+
+    core_const = schemes._const
+    monkeypatch.setattr(schemes, "_const", counted)
+    assert step_bdf2(VOL32, cfg, x1, x2, 0.01, dw1, dw0).tobytes() == first.tobytes()
+    assert calls == []
+
+
+def test_bare_steps_are_silent_on_a_non_finite_row_and_keep_the_others():
+    cfg = ImplicitSolverConfig()
+    x1, x2 = np.array([[np.inf], [1.0]]), np.array([[-np.inf], [0.5]])
+    dw1, dw0 = np.array([[-0.1], [0.1]]), np.array([[0.2], [-0.3]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        f1, f2 = VOL32.drift(x1), VOL32.drift(x2)
+    steps = {
+        "bem": lambda r: step_bem(VOL32, cfg, x1[r], 0.01, dw1[r]),
+        "bdf2": lambda r: step_bdf2(VOL32, cfg, x1[r], x2[r], 0.01, dw1[r], dw0[r]),
+        "eulm": lambda r: step_explicit_euler(VOL32, x1[r], 0.01, dw1[r]),
+        "lmm bdf2": lambda r: step_lmm(VOL32, cfg, BDF2, [x2[r], x1[r]], [f2[r], f1[r]],
+                                       [dw0[r], dw1[r]], 0.01),
+        "lmm eulm": lambda r: step_lmm(VOL32, cfg, EXPLICIT_EULER, [x1[r]], [f1[r]], [dw1[r]], 0.01),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, step in steps.items():
+            both, alone = step(slice(None)), step(slice(1, 2))
+            if name.startswith("lmm"):  # (x_next, f_next)
+                assert both[1][1:].tobytes() == alone[1].tobytes(), name
+                both, alone = both[0], alone[0]
+            assert not np.isfinite(both[0]).all(), name
+            assert both[1:].tobytes() == alone.tobytes(), name
 
 
 def test_bare_steps_build_their_rhs_form_once_and_repeat_bitwise():
