@@ -38,8 +38,7 @@ class TimeGrid:
     N: int
 
     def __post_init__(self) -> None:
-        if not (self.T > 0.0 and np.isfinite(self.T)):
-            raise ValueError(f"horizon must be a positive finite real, got {self.T}")
+        _require_positive_finite(horizon=self.T)
         _require_count(1, N=self.N)
 
     @property
@@ -67,6 +66,12 @@ def _require_positive_finite(**values: float) -> None:
     for name, value in values.items():
         if not (value > 0.0 and np.isfinite(value)):
             raise ValueError(f"{name} must be a positive finite real, got {value}")
+
+
+def _require_growth_exponent(q: float) -> None:
+    """Reject a polynomial growth exponent q of the drift that is not a finite real >= 1."""
+    if not (q >= 1.0 and np.isfinite(q)):
+        raise ValueError(f"q must be a finite growth exponent >= 1, got {q}")
 
 
 def _require_count(minimum: int, **counts: int) -> None:
@@ -119,8 +124,7 @@ class SdeModel:
     def __post_init__(self) -> None:
         _require_count(1, state_dim=self.state_dim, noise_dim=self.noise_dim)
         _require_positive_finite(L=self.L, eta=self.eta)
-        if not (self.q >= 1.0 and np.isfinite(self.q)):
-            raise ValueError(f"q must be a finite growth exponent >= 1, got {self.q}")
+        _require_growth_exponent(self.q)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,8 @@ class SchemeCoefficients:
     normalized so that alpha_k = 1.  ``alpha`` and ``beta`` have length
     k+1 (index k multiplies the unknown U^j), ``gamma`` has length k (the
     newest increment dW^j always pairs with g(U^{j-1})).  The recursion is
-    implicit exactly when beta_k > 0; beta_k < 0 is rejected.
+    implicit exactly when beta_k > 0; beta_k < 0 and a non-finite
+    coefficient are rejected.
     """
 
     k: int
@@ -168,15 +173,16 @@ class SchemeCoefficients:
 
     def __post_init__(self) -> None:
         _require_count(1, k=self.k)
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(c) for c in self.gamma))
-        if len(self.alpha) != self.k + 1:
-            raise ValueError(f"alpha must have length k+1={self.k + 1}, got {len(self.alpha)}")
-        if len(self.beta) != self.k + 1:
-            raise ValueError(f"beta must have length k+1={self.k + 1}, got {len(self.beta)}")
-        if len(self.gamma) != self.k:
-            raise ValueError(f"gamma must have length k={self.k}, got {len(self.gamma)}")
+        for name, size, length in (("alpha", "k+1", self.k + 1), ("beta", "k+1", self.k + 1),
+                                   ("gamma", "k", self.k)):
+            values = tuple(float(v) for v in getattr(self, name))
+            if len(values) != length:
+                raise ValueError(f"{name} must have length {size}={length}, got {len(values)}")
+            for i, v in enumerate(values):
+                # nan < 0 is False: a NaN would slip past every comparison below
+                if not np.isfinite(v):
+                    raise ValueError(f"{name}[{i}] must be finite, got {v}")
+            object.__setattr__(self, name, values)
         if self.alpha[self.k] != 1.0:
             raise ValueError(f"normalization requires alpha_k == 1, got {self.alpha[self.k]}")
         if self.beta[self.k] < 0.0:

@@ -52,6 +52,7 @@ from .core import (
     SdeModel,
     TimeGrid,
     _require_count,
+    _require_positive_finite,
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
@@ -121,8 +122,18 @@ class ExperimentConfig:
     batch_size: int = 1024
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        try:
+            x0 = np.asarray(self.x0, dtype=float)
+        except (TypeError, ValueError):  # a complex, a string that is no number, a ragged list
+            x0 = None
+        if x0 is None or x0.ndim > 1:
+            raise ValueError(f"x0 must be a real or a flat sequence of reals, got {self.x0!r}")
+        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(x0)))
+        for name in ("schemes", "levels"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ValueError(f"{name} must be a sequence, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for n in self.levels:
             _require_count(1, levels=n)
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
@@ -132,8 +143,7 @@ class ExperimentConfig:
             )
         if not all(math.isfinite(v) for v in self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"horizon must be a positive finite real, got {self.T}")
+        _require_positive_finite(horizon=self.T)
         if not self.schemes:
             raise ValueError("need at least one scheme")
         for s in self.schemes:
@@ -615,11 +625,8 @@ def residual_defects(model: SdeModel, states: np.ndarray, increments: np.ndarray
     one = h * fV[..., 1:, :] + noise - V[..., 1:, :] + V[..., :-1, :]
     # trapezoidal drift correction (j = 2..N) ...
     half = 0.5 * (h * fV[..., :-1, :] + noise - V[..., 1:, :] + V[..., :-1, :])
-    # ... plus the shifted-noise correction, built from its own stencil
-    shifted = -0.5 * (
-        h * fV[..., 1:-1, :] + noise[..., :-1, :] - V[..., 1:-1, :] + V[..., :-2, :]
-    )
-    pair = half[..., 1:, :] + shifted
+    # ... plus the shifted-noise correction, minus half the one-step defect of step j-1
+    pair = half[..., 1:, :] - 0.5 * one[..., :-1, :]
     return one, pair
 
 

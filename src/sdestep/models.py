@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import SdeModel, _const, _require_count, _require_positive_finite
+from .core import SdeModel, _const, _require_count, _require_growth_exponent
+from .core import _require_positive_finite
 from .schemes import _closed_form_32vol_solver
 
 __all__ = [
@@ -60,6 +61,13 @@ def _check_sigma(params) -> None:
         )
 
 
+def _sde_model(params, state_dim: int, q: float, closed_form_implicit=None) -> SdeModel:
+    """The SdeModel of a parameter set: L = 1, one noise per state, the set's callables."""
+    return SdeModel(state_dim=state_dim, noise_dim=state_dim, drift=params.drift,
+                    diffusion=params.diffusion, drift_jacobian=params.drift_jacobian,
+                    closed_form_implicit=closed_form_implicit, L=1.0, eta=params.eta, q=q)
+
+
 @dataclass(frozen=True)
 class ThreeHalvesVol:
     """Parameters of the scalar 3/2-volatility model.
@@ -74,8 +82,7 @@ class ThreeHalvesVol:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be a positive finite real, got {self.lam}")
+        _require_positive_finite(lam=self.lam)
         _check_sigma(self)
         # the drift's and diffusion's operands, settled once (not fields: eq and repr keep theirs)
         object.__setattr__(self, "_lam", _const(self.lam))
@@ -105,17 +112,7 @@ class ThreeHalvesVol:
         return _closed_form_32vol_solver(self.lam, beta, h)
 
     def as_sde_model(self) -> SdeModel:
-        return SdeModel(
-            state_dim=1,
-            noise_dim=1,
-            drift=self.drift,
-            diffusion=self.diffusion,
-            drift_jacobian=self.drift_jacobian,
-            closed_form_implicit=self.closed_form_implicit,
-            L=1.0,
-            eta=self.eta,
-            q=2.0,
-        )
+        return _sde_model(self, 1, 2.0, self.closed_form_implicit)
 
 
 @dataclass(frozen=True)
@@ -191,17 +188,7 @@ class ToyCubic2D:
         return out
 
     def as_sde_model(self) -> SdeModel:
-        return SdeModel(
-            state_dim=2,
-            noise_dim=2,
-            drift=self.drift,
-            diffusion=self.diffusion,
-            drift_jacobian=self.drift_jacobian,
-            closed_form_implicit=None,
-            L=1.0,
-            eta=self.eta,
-            q=3.0,
-        )
+        return _sde_model(self, 2, 3.0)
 
 
 #: Conventional parameter / initial-value defaults per model id.
@@ -378,6 +365,7 @@ def check_coercivity(
     over the deterministic lattice plus ``n_points`` seeded uniform states.
     """
     _require_positive_finite(L=L, box=box)
+    _require_growth_exponent(q)
     _require_count(0, n_points=n_points, seed=seed)
     _require_count(1, state_dim=state_dim)
     x = _point_set(box, state_dim, n_points, seed)
@@ -404,6 +392,7 @@ def check_local_lipschitz_f(
         |f(x1) - f(x2)|  <=  L (1 + |x1|^{q-1} + |x2|^{q-1}) |x1 - x2|.
     """
     _require_positive_finite(L=L, box=box)
+    _require_growth_exponent(q)
     _require_count(0, n_pairs=n_pairs, seed=seed)
     _require_count(1, state_dim=state_dim)
     x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)

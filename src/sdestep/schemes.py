@@ -161,10 +161,11 @@ def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
 def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     """Exact drift-implicit solve for the 3/2-volatility family.
 
-    Solves ``x - beta*h*(x - lam*x*|x|) = R`` for scalar states.  On each
-    sign branch the equation is a quadratic with non-negative discriminant;
-    the root that depends continuously on R is returned.  The formula is
-    evaluated in rationalized form,
+    Solves ``x - beta*h*(x - lam*x*|x|) = R`` for scalar states, where lam,
+    beta and h are positive finite reals (a ``ValueError`` names the one
+    that is not).  On each sign branch the equation is a quadratic with
+    non-negative discriminant; the root that depends continuously on R is
+    returned.  The formula is evaluated in rationalized form,
 
         x = sign(R) * a / (c + sqrt(c*c + a)),
         a = |R| / (beta*h*lam),  c = (1 - beta*h) / (2*beta*h*lam),
@@ -190,15 +191,14 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
 def _closed_form_32vol_solver(lam: float, beta: float, h: float):
     """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
 
-    Checks that lam, beta and h are finite (naming the one that is not),
-    ``beta*h*lam > 0`` and the finiteness of ``c``, picks the branch and
-    holds its constants as read-only 0-d float64 arrays (``solve.args``),
-    so a call does only the array arithmetic, in the order of the formula.
+    Checks that lam, beta and h are positive finite reals (naming the one
+    that is not), that ``beta*h*lam`` does not underflow to 0 and that ``c``
+    is finite, picks the branch and holds its constants as read-only 0-d
+    float64 arrays (``solve.args``), so a call does only the array
+    arithmetic, in the order of the formula.
     R must be a float64 array: the root converts nothing.
     """
-    for name, value in (("lam", lam), ("beta", beta), ("h", h)):
-        if not math.isfinite(value):
-            raise ValueError(f"the closed-form solve needs a finite {name}, got {value}")
+    _require_positive_finite(lam=lam, beta=beta, h=h)
     bh = beta * h
     if not (bh * lam > 0.0):
         raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")

@@ -85,6 +85,20 @@ def test_scheme_coefficients_validation():
             SchemeCoefficients(k=k, alpha=(-1.0, 1.0), beta=(0.0, 1.0), gamma=(1.0,))
 
 
+@pytest.mark.parametrize("field,index,value", [
+    ("alpha", 0, float("inf")),
+    ("beta", 1, float("nan")),
+    ("beta", 0, float("-inf")),
+    ("gamma", 0, float("nan")),
+])
+def test_scheme_coefficients_name_a_non_finite_entry(field, index, value):
+    # a NaN beta_k once made an explicit scheme and a NaN gamma an all-NaN path, without an error
+    tuples = dict(alpha=[-1.0, 1.0], beta=[0.0, 1.0], gamma=[1.0])
+    tuples[field][index] = value
+    with pytest.raises(ValueError, match=rf"^{field}\[{index}\] must be finite, got {value}$"):
+        SchemeCoefficients(k=1, **tuples)
+
+
 def test_sde_model_validates_dimensions_and_constants():
     f = lambda x: -x
     g = lambda x: np.zeros(x.shape + (1,))

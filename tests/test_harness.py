@@ -135,6 +135,26 @@ def test_experiment_config_rejects_non_integer_counts_by_name(field, value):
         ExperimentConfig(**dict(base, **{field: bad}))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("levels", 25),
+    ("levels", "25,50"),
+    ("schemes", "bem"),
+    ("schemes", None),
+    ("x0", [[1.0]]),
+    ("x0", [[1.0], [2.0, 3.0]]),
+    ("x0", (1.0 + 2.0j,)),
+])
+def test_experiment_config_names_a_sequence_field_of_the_wrong_kind(field, value):
+    # levels=25 once raised a bare TypeError and schemes="bem" complained of scheme 'b'
+    base = dict(model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25, 50), samples=8,
+                ref_steps=400)
+    with pytest.raises(ValueError, match=f"^{field} must be a "):
+        ExperimentConfig(**dict(base, **{field: value}))
+    for x0 in ((1.0,), 1.0, np.array([1.0])):
+        assert ExperimentConfig(**dict(base, x0=x0)).x0 == (1.0,)
+    assert ExperimentConfig(**dict(base, levels=[25, 50], schemes=["bem", "bdf2"])).levels == (25, 50)
+
+
 def test_experiment_config_takes_numpy_integers():
     cfg = ExperimentConfig(
         model=VOL32, x0=(1.0,), schemes=("bem",), levels=(np.int32(25), np.int64(50)),

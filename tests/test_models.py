@@ -363,6 +363,21 @@ def test_checkers_reject_scan_arguments_that_are_not_positive_finite(name, value
             check()
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.5])
+def test_checkers_name_a_growth_exponent_below_one_or_not_finite(q):
+    # q = 0.5 once raised divide by zero from 0 ** -0.5, and q = nan counted every point a violation
+    _, model = make_model("vol32", 4.0, 1.0)
+    checks = [
+        lambda: check_coercivity(model.drift, model.diffusion, L=1.0, q=q, n_points=10),
+        lambda: check_local_lipschitz_f(model.drift, L=1.0, q=q, n_pairs=10),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in checks:
+            with pytest.raises(ValueError, match=rf"^q must be a finite growth exponent >= 1, got {q}$"):
+                check()
+
+
 def test_checkers_reject_negative_sample_counts_and_accept_zero():
     _, model = make_model("vol32", 4.0, 1.0)
     checks = {

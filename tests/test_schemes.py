@@ -224,12 +224,18 @@ def test_closed_form_32vol_names_a_step_too_small_for_its_formula():
     ("beta", (4.0, np.inf, 0.01)),
     ("h", (4.0, 1.0, np.inf)),
     ("h", (4.0, 1.0, np.nan)),
+    # two negative parameters, whose product beta*h*lam is positive
+    ("beta", (4.0, -1.0, -0.01)),
+    ("lam", (-4.0, -1.0, 0.01)),
+    ("lam", (0.0, 1.0, 0.01)),
+    ("beta", (4.0, 0.0, 0.01)),
+    ("h", (4.0, 1.0, 0.0)),
 ])
 def test_closed_form_32vol_names_a_non_finite_parameter(name, args):
     lam, beta, h = args
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^the closed-form solve needs a finite {name}, got"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a positive finite real, got"):
             closed_form_32vol(lam, 1.0, beta, h, 0.5)
 
 
