@@ -74,6 +74,13 @@ def _require_growth_exponent(q: float) -> None:
         raise ValueError(f"q must be a finite growth exponent >= 1, got {q}")
 
 
+def _require_sequence(name: str, value) -> tuple:
+    """``value`` as a tuple; a string or a value that is no sequence is rejected, naming it."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def _require_count(minimum: int, **counts: int) -> None:
     """Reject the first count that is not an integer >= ``minimum`` (numpy ints pass), naming it."""
     for name, count in counts.items():
@@ -175,7 +182,7 @@ class SchemeCoefficients:
         _require_count(1, k=self.k)
         for name, size, length in (("alpha", "k+1", self.k + 1), ("beta", "k+1", self.k + 1),
                                    ("gamma", "k", self.k)):
-            values = tuple(float(v) for v in getattr(self, name))
+            values = tuple(float(v) for v in _require_sequence(name, getattr(self, name)))
             if len(values) != length:
                 raise ValueError(f"{name} must have length {size}={length}, got {len(values)}")
             for i, v in enumerate(values):

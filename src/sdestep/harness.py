@@ -53,6 +53,7 @@ from .core import (
     TimeGrid,
     _require_count,
     _require_positive_finite,
+    _require_sequence,
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     ImplicitSolverConfig,
@@ -130,10 +131,7 @@ class ExperimentConfig:
             raise ValueError(f"x0 must be a real or a flat sequence of reals, got {self.x0!r}")
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(x0)))
         for name in ("schemes", "levels"):
-            value = getattr(self, name)
-            if isinstance(value, str) or not np.iterable(value):
-                raise ValueError(f"{name} must be a sequence, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
+            object.__setattr__(self, name, _require_sequence(name, getattr(self, name)))
         for n in self.levels:
             _require_count(1, levels=n)
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
@@ -147,6 +145,8 @@ class ExperimentConfig:
         if not self.schemes:
             raise ValueError("need at least one scheme")
         for s in self.schemes:
+            if not isinstance(s, str):
+                raise ValueError(f"schemes must be a sequence of names, got {self.schemes!r}")
             if s not in SCHEME_COEFFS:
                 raise ValueError(f"unknown scheme {s!r}; available: {sorted(SCHEME_COEFFS)}")
         if len(set(self.schemes)) != len(self.schemes):

@@ -406,31 +406,37 @@ def _rhs_form(coeffs: SchemeCoefficients):
 
 
 def _step(model: SdeModel, cfg: ImplicitSolverConfig, coeffs: SchemeCoefficients, h: float,
-          states, drifts, increments):
-    """One bare step of ``coeffs`` from its k old states, their drifts and
-    increments, oldest first: R through :func:`_rhs_form`, then the solve.
+          states, increments, names: tuple):
+    """One bare step of ``coeffs``: a :class:`_Stepper` over the k old
+    states, started with copies, set to each in turn, oldest first, and
+    advanced with its increment.  The first k-1 advances only fill the
+    history and the last is the recursion step, so R, the noise products,
+    the history's drift and the solve are the stepper's own, under the
+    ``np.errstate`` of :func:`integrate` (a non-finite row is silent).
 
-    A drift that is None is evaluated here where its beta_i is non-zero; the
-    diffusion only for states whose gamma_i is non-zero.  Runs under the
-    ``np.errstate`` of :func:`integrate`, so a non-finite row is silent.
-    :func:`solve_implicit` is looked up by name at each call, so a layer
-    trace that wraps it in this module sees every bare solve.
+    ``names`` holds the parameter names of the states, then of the
+    increments: a state that is not of one shared shape ``(m,)`` or
+    ``(B, m)``, or an increment not of that shape with d for m, is a
+    ``ValueError`` that names it.
     """
+    m, d = model.state_dim, model.noise_dim
+    states = [np.asarray(x, dtype=float) for x in states]
+    shape = states[0].shape
+    for x, name in zip(states, names):
+        if x.ndim not in (1, 2) or x.shape[-1] != m:
+            raise ValueError(f"{name} must have shape ({m},) or (B, {m}), got {x.shape}")
+        if x.shape != shape:
+            raise ValueError(f"{name} must have the shape {shape} of {names[0]}, got {x.shape}")
+    increments = [np.asarray(dW, dtype=float) for dW in increments]
+    for dW, name in zip(increments, names[len(states):]):
+        if dW.shape != shape[:-1] + (d,):
+            raise ValueError(f"{name} must have shape {shape[:-1] + (d,)}, got {dW.shape}")
+    stepper = _Stepper(model, coeffs, cfg, (h,), states[0], "copy")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        history = []
-        for x, f, dW, beta, gamma in zip(states, drifts, increments, coeffs.beta, coeffs.gamma):
-            x = np.asarray(x, dtype=float)
-            if f is None and beta != 0.0:
-                f = model.drift(x)
-            noise = None
-            if gamma != 0.0:
-                noise = _apply_noise(model.diffusion(x), np.asarray(dW, dtype=float))
-            history.append((x, noise, None if f is None else np.asarray(f, dtype=float)))
-        h_factors = [_per_row((h * b,), x.shape) for b in coeffs.beta[:coeffs.k] if b != 0.0]
-        R = _rhs_form(coeffs)(*h_factors)(history)
-        if not coeffs.implicit:
-            return R
-        return solve_implicit(model, coeffs.beta[coeffs.k], h, R, cfg)
+        for x, dW in zip(states, increments):
+            stepper.x = x
+            x_next = stepper.advance(dW)
+    return x_next
 
 
 def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
@@ -440,7 +446,7 @@ def step_explicit_euler(model: SdeModel, x_prev, h: float, dW):
     the dynamics run away — that behaviour is the point of keeping this
     scheme around as a comparison baseline.
     """
-    return _step(model, None, EXPLICIT_EULER, h, [x_prev], [None], [dW])
+    return _step(model, None, EXPLICIT_EULER, h, [x_prev], [dW], ("x_prev", "dW"))
 
 
 def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
@@ -448,7 +454,7 @@ def step_bem(model: SdeModel, cfg: ImplicitSolverConfig, x_prev, h: float, dW):
 
     Assembles R = x_prev + g(x_prev) dW and solves x - h f(x) = R.
     """
-    return _step(model, cfg, BACKWARD_EULER, h, [x_prev], [None], [dW])
+    return _step(model, cfg, BACKWARD_EULER, h, [x_prev], [dW], ("x_prev", "dW"))
 
 
 def step_bdf2(
@@ -466,7 +472,8 @@ def step_bdf2(
         R = (-1/3 x_prev2 - 1/3 g(x_prev2) dW_prev) + (4/3 x_prev + g(x_prev) dW_cur)
     and solves x - (2/3) h f(x) = R.
     """
-    return _step(model, cfg, BDF2, h, [x_prev2, x_prev], [None, None], [dW_prev, dW_cur])
+    return _step(model, cfg, BDF2, h, [x_prev2, x_prev], [dW_prev, dW_cur],
+                 ("x_prev2", "x_prev", "dW_prev", "dW_cur"))
 
 
 def step_lmm(
@@ -483,8 +490,9 @@ def step_lmm(
     Histories are ordered oldest first and have length k:
     ``state_history[i] = U^{j-k+i}``, ``drift_history[i] = f(state_history[i])``,
     ``increment_history[i] = dW^{j-k+1+i}`` (so the newest increment pairs with
-    the newest old state).  Returns ``(x_next, f_next)`` so the caller can
-    maintain the drift history without re-evaluating f.
+    the newest old state).  Returns ``(x_next, f(x_next))``.  The stepper
+    (:func:`_step`) evaluates f on the old states itself, so ``drift_history``
+    is checked for its length only; by its contract the bits do not change.
     """
     k = coeffs.k
     if not (len(state_history) == len(drift_history) == len(increment_history) == k):
@@ -492,7 +500,9 @@ def step_lmm(
             f"histories must all have length k={k}, got "
             f"{len(state_history)}/{len(drift_history)}/{len(increment_history)}"
         )
-    x_next = _step(model, cfg, coeffs, h, state_history, drift_history, increment_history)
+    names = [f"{history}[{i}]" for history in ("state_history", "increment_history")
+             for i in range(k)]
+    x_next = _step(model, cfg, coeffs, h, state_history, increment_history, names)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return x_next, model.drift(x_next)
 
@@ -540,6 +550,7 @@ class _Stepper:
         self._start_solve = None
         if k >= 2 and second_init == "bem":
             self._start_solve = _solve_core(model, 1.0, h, solver_cfg, shape)
+            self._start_rhs = _rhs_form(BACKWARD_EULER)()
         betas = [b for b in coeffs.beta[:k] if b != 0.0]
         self._drift = model.drift if betas else None
         self._diffusion = model.diffusion
@@ -547,7 +558,6 @@ class _Stepper:
         self._form = _rhs_form(coeffs)
         self._h_factors = tuple(_per_row(tuple(step * b for step in h), shape) for b in betas)
         self._rhs = self._form(*self._h_factors)
-        self._start_rhs = _rhs_form(BACKWARD_EULER)()
         self._k = k
         self._history = []
         self.advance = self._start if k >= 2 else self._recur

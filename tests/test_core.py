@@ -99,6 +99,18 @@ def test_scheme_coefficients_name_a_non_finite_entry(field, index, value):
         SchemeCoefficients(k=1, **tuples)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha", "11"),
+    ("beta", None),
+    ("gamma", 1.0),
+])
+def test_scheme_coefficients_name_a_field_that_is_no_sequence(field, value):
+    # gamma=1.0 once raised a bare TypeError, and alpha="11" passed as (1.0, 1.0)
+    tuples = dict(alpha=(-1.0, 1.0), beta=(0.0, 1.0), gamma=(1.0,))
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence, got {value!r}$"):
+        SchemeCoefficients(k=1, **dict(tuples, **{field: value}))
+
+
 def test_sde_model_validates_dimensions_and_constants():
     f = lambda x: -x
     g = lambda x: np.zeros(x.shape + (1,))

@@ -143,9 +143,11 @@ def test_experiment_config_rejects_non_integer_counts_by_name(field, value):
     ("x0", [[1.0]]),
     ("x0", [[1.0], [2.0, 3.0]]),
     ("x0", (1.0 + 2.0j,)),
+    ("schemes", (["bem"],)),
 ])
 def test_experiment_config_names_a_sequence_field_of_the_wrong_kind(field, value):
-    # levels=25 once raised a bare TypeError and schemes="bem" complained of scheme 'b'
+    # levels=25 and schemes=(["bem"],) once raised a bare TypeError, and schemes="bem"
+    # complained of scheme 'b'
     base = dict(model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25, 50), samples=8,
                 ref_steps=400)
     with pytest.raises(ValueError, match=f"^{field} must be a "):

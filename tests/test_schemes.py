@@ -521,6 +521,22 @@ def test_singular_linearization_nans_only_the_bad_batch_rows():
         assert np.all(out[1] == 2.0)  # zero drift: the solution is R itself
 
 
+def test_a_bare_newton_step_raises_for_a_singular_state_and_nans_its_batch_row():
+    # the bare steps solve through the stepper, not solve_implicit: the same rules hold there
+    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
+    for m in (1, 2, 3):  # division, adjugate and LU
+        model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
+        with pytest.raises(SolverSingularError, match=r"\|det\|=") as excinfo:
+            step_bem(model, cfg, np.zeros(m), 0.1, np.zeros(1))
+        assert excinfo.value.step_index is None
+        batch = np.array([[0.0] * m, [2.0] * m])  # row 0 starts at the singular point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = step_bem(model, cfg, batch, 0.1, np.zeros((2, 1)))
+        assert np.isnan(out[0]).all()
+        assert out[1:].tobytes() == step_bem(model, cfg, batch[1:], 0.1, np.zeros((1, 1))).tobytes()
+
+
 def test_newton_runs_exactly_k_iterations_without_tolerance():
     jac_calls = []
     counted = replace(
@@ -769,6 +785,29 @@ def test_bare_steps_are_silent_on_a_non_finite_row_and_keep_the_others():
                 both, alone = both[0], alone[0]
             assert not np.isfinite(both[0]).all(), name
             assert both[1:].tobytes() == alone.tobytes(), name
+
+
+@pytest.mark.parametrize("name,step", [
+    ("dW", lambda cfg: step_explicit_euler(VOL32, np.ones(1), 0.01, np.zeros((3, 1)))),
+    ("dW", lambda cfg: step_explicit_euler(VOL32, [1.0], 0.01, 0.1)),
+    ("x_prev", lambda cfg: step_explicit_euler(TOY, np.ones((2, 2, 2)), 0.001, np.zeros(2))),
+    ("dW", lambda cfg: step_bem(VOL32, cfg, [1.0], 0.01, 0.1)),
+    ("x_prev", lambda cfg: step_bem(VOL32, cfg, np.ones(2), 0.01, np.zeros(1))),
+    ("x_prev", lambda cfg: step_bdf2(TOY, cfg, np.ones(2), np.ones((3, 2)), 0.001,
+                                     np.zeros(2), np.zeros(2))),
+    ("dW_prev", lambda cfg: step_bdf2(TOY, cfg, np.ones(2), np.ones(2), 0.001,
+                                      np.zeros(2), np.zeros(1))),
+    ("dW_cur", lambda cfg: step_bdf2(VOL32, cfg, np.ones((2, 1)), np.ones((2, 1)), 0.01,
+                                     np.zeros(1), np.zeros((2, 1)))),
+    ("state_history[1]", lambda cfg: step_lmm(VOL32, cfg, BDF2, [np.ones((2, 1)), np.ones(1)],
+                                              [None, None], [np.zeros(1)] * 2, 0.01)),
+    ("increment_history[0]", lambda cfg: step_lmm(VOL32, cfg, BACKWARD_EULER, [np.ones(1)],
+                                                  [None], [np.zeros((4, 1))], 0.01)),
+])
+def test_bare_steps_name_a_mis_shaped_state_or_increment(name, step):
+    # each of these once broadcast to a batch, ended in a bare IndexError or named R
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must have "):
+        step(ImplicitSolverConfig())
 
 
 def test_bare_steps_build_their_rhs_form_once_and_repeat_bitwise():
