@@ -6,115 +6,18 @@ multistep family, together with a fully seeded Monte Carlo harness for
 strong-error convergence studies against coupled reference solutions.
 """
 
-from .core import (
-    BACKWARD_EULER,
-    BDF2,
-    EXPLICIT_EULER,
-    GridFunction,
-    SchemeCoefficients,
-    SdeModel,
-    TimeGrid,
-    gstability_identity_one,
-    gstability_identity_two,
-    hs_norm,
-)
-from .brownian import (
-    IncrementTable,
-    SeedSpec,
-    coarsen,
-    dump_increments,
-    generate_increments,
-    load_increments,
-)
-from .schemes import (
-    ImplicitSolverConfig,
-    SolverSingularError,
-    StepSizeError,
-    closed_form_32vol,
-    integrate,
-    solve_implicit,
-    step_bdf2,
-    step_bem,
-    step_explicit_euler,
-    step_lmm,
-)
-from .models import (
-    MODEL_DEFAULTS,
-    ConditionReport,
-    ThreeHalvesVol,
-    ToyCubic2D,
-    check_coercivity,
-    check_local_lipschitz_f,
-    check_monotonicity,
-    eval_32vol,
-    eval_toy2d,
-    make_model,
-)
-from .harness import (
-    ErrorTable,
-    ExperimentConfig,
-    LevelRow,
-    ResidualReport,
-    SchemeCell,
-    cfl_indicator,
-    eoc,
-    estimate_residuals,
-    reference_trajectory,
-    run_convergence_study,
-    strong_error,
-    write_csv,
-)
+from . import brownian, core, harness, models, schemes
+from .core import *  # noqa: F401,F403
+from .brownian import *  # noqa: F401,F403
+from .schemes import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKWARD_EULER",
-    "BDF2",
-    "EXPLICIT_EULER",
-    "GridFunction",
-    "SchemeCoefficients",
-    "SdeModel",
-    "TimeGrid",
-    "gstability_identity_one",
-    "gstability_identity_two",
-    "hs_norm",
-    "IncrementTable",
-    "SeedSpec",
-    "coarsen",
-    "dump_increments",
-    "generate_increments",
-    "load_increments",
-    "ImplicitSolverConfig",
-    "SolverSingularError",
-    "StepSizeError",
-    "closed_form_32vol",
-    "integrate",
-    "solve_implicit",
-    "step_bdf2",
-    "step_bem",
-    "step_explicit_euler",
-    "step_lmm",
-    "MODEL_DEFAULTS",
-    "ConditionReport",
-    "ThreeHalvesVol",
-    "ToyCubic2D",
-    "check_coercivity",
-    "check_local_lipschitz_f",
-    "check_monotonicity",
-    "eval_32vol",
-    "eval_toy2d",
-    "make_model",
-    "ErrorTable",
-    "ExperimentConfig",
-    "LevelRow",
-    "ResidualReport",
-    "SchemeCell",
-    "cfl_indicator",
-    "eoc",
-    "estimate_residuals",
-    "reference_trajectory",
-    "run_convergence_study",
-    "strong_error",
-    "write_csv",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += brownian.__all__
+__all__ += schemes.__all__
+__all__ += models.__all__
+__all__ += harness.__all__

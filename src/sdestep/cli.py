@@ -30,6 +30,7 @@ from .harness import (
 )
 from .models import MODEL_DEFAULTS, make_model
 from .models import check_coercivity, check_local_lipschitz_f, check_monotonicity
+from .schemes import _SECOND_INITS, _SOLVER_MODES
 from .schemes import ImplicitSolverConfig, SolverSingularError, integrate
 
 _LEVELS_PATTERN = re.compile(r"^(\d+)x(\d+)\^(\d+)\.\.(\d+)$")
@@ -77,9 +78,9 @@ def _add_model_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=("auto", "closed_form", "newton"), default="auto")
+    p.add_argument("--solver", choices=_SOLVER_MODES, default="auto")
     p.add_argument("--newton-iters", type=int, default=5)
-    p.add_argument("--second-init", choices=("bem", "copy"), default="bem",
+    p.add_argument("--second-init", choices=_SECOND_INITS, default="bem",
                    help="how multistep schemes obtain their second starting value")
 
 

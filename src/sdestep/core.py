@@ -10,6 +10,8 @@ schemes live here as well because they are pure vector arithmetic.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -182,14 +184,15 @@ class SchemeCoefficients:
         _require_count(1, k=self.k)
         for name, size, length in (("alpha", "k+1", self.k + 1), ("beta", "k+1", self.k + 1),
                                    ("gamma", "k", self.k)):
-            values = tuple(float(v) for v in _require_sequence(name, getattr(self, name)))
+            values = _require_sequence(name, getattr(self, name))
             if len(values) != length:
                 raise ValueError(f"{name} must have length {size}={length}, got {len(values)}")
             for i, v in enumerate(values):
-                # nan < 0 is False: a NaN would slip past every comparison below
-                if not np.isfinite(v):
-                    raise ValueError(f"{name}[{i}] must be finite, got {v}")
-            object.__setattr__(self, name, values)
+                # float() would take "1.0" and fail bare on None; and nan < 0 is
+                # False, so a NaN would slip past every comparison below
+                if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                    raise ValueError(f"{name}[{i}] must be a finite real, got {v!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if self.alpha[self.k] != 1.0:
             raise ValueError(f"normalization requires alpha_k == 1, got {self.alpha[self.k]}")
         if self.beta[self.k] < 0.0:

@@ -56,6 +56,7 @@ from .core import (
     _require_sequence,
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
+    _SECOND_INITS,
     ImplicitSolverConfig,
     _apply_noise,
     _stability_warnings,
@@ -165,7 +166,7 @@ class ExperimentConfig:
                 raise ValueError(f"ref_steps={self.ref_steps} not divisible by level N={n}")
         if not self.base_seed < 2**64:
             raise ValueError("base_seed must fit in 64 bits")
-        if self.second_init not in ("bem", "copy"):
+        if self.second_init not in _SECOND_INITS:
             raise ValueError(f"second_init must be 'bem' or 'copy', got {self.second_init!r}")
         if self.reference_scheme not in _REFERENCE_SCHEMES:
             raise ValueError(f"reference scheme must be one of {list(_REFERENCE_SCHEMES)}, "

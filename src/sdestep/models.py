@@ -34,6 +34,7 @@ __all__ = [
     "ThreeHalvesVol",
     "ToyCubic2D",
     "make_model",
+    "MODEL_DEFAULTS",
     "eval_32vol",
     "eval_toy2d",
     "ConditionReport",

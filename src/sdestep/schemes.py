@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-14
+# how ImplicitSolverConfig may solve, and how a multistep scheme may obtain its starting values
+_SOLVER_MODES = ("auto", "closed_form", "newton")
+_SECOND_INITS = ("bem", "copy")
 
 
 class StepSizeError(ValueError):
@@ -92,7 +95,7 @@ class ImplicitSolverConfig:
     enforce_step_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in ("auto", "closed_form", "newton"):
+        if self.mode not in _SOLVER_MODES:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         _require_count(1, newton_iterations=self.newton_iterations)
 
@@ -539,7 +542,7 @@ class _Stepper:
         x0,
         second_init: str = "bem",
     ):
-        if second_init not in ("bem", "copy"):
+        if second_init not in _SECOND_INITS:
             raise ValueError(f"second_init must be 'bem' or 'copy', got {second_init!r}")
         k = coeffs.k
         self.x = np.array(x0, dtype=float)

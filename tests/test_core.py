@@ -1,5 +1,7 @@
 """Unit tests for the shared value types and the two energy identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,8 +97,16 @@ def test_scheme_coefficients_name_a_non_finite_entry(field, index, value):
     # a NaN beta_k once made an explicit scheme and a NaN gamma an all-NaN path, without an error
     tuples = dict(alpha=[-1.0, 1.0], beta=[0.0, 1.0], gamma=[1.0])
     tuples[field][index] = value
-    with pytest.raises(ValueError, match=rf"^{field}\[{index}\] must be finite, got {value}$"):
+    with pytest.raises(ValueError, match=rf"^{field}\[{index}\] must be a finite real, got {value}$"):
         SchemeCoefficients(k=1, **tuples)
+
+
+@pytest.mark.parametrize("value", [None, [1.0], "a", "1.0"])
+def test_scheme_coefficients_name_an_entry_that_is_no_real(value):
+    # None and [1.0] once raised a bare TypeError, "a" an unnamed ValueError, and "1.0" passed as 1.0
+    message = re.escape(f"gamma[0] must be a finite real, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SchemeCoefficients(k=1, alpha=(-1.0, 1.0), beta=(0.0, 1.0), gamma=(value,))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -209,3 +219,18 @@ def test_identities_batched_shapes():
     # scalar-tuple call returns plain floats
     out = gstability_identity_one(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
     assert isinstance(out[0], float) and isinstance(out[1], float)
+
+
+def test_package_reexports_each_module_all_once():
+    # the package once kept its own copies: residual_defects was missing and
+    # MODEL_DEFAULTS was exported although models.__all__ left it out
+    import sdestep
+    from sdestep import MODEL_DEFAULTS, residual_defects  # noqa: F401
+    from sdestep import brownian, core, harness, models, schemes
+
+    modules = (core, brownian, schemes, models, harness)
+    assert sdestep.__all__ == ["__version__"] + [n for mod in modules for n in mod.__all__]
+    assert len(set(sdestep.__all__)) == len(sdestep.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(sdestep, name) is getattr(mod, name), name
