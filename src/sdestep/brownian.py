@@ -10,6 +10,7 @@ scheduling.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -108,6 +109,27 @@ def _coarsen_rows(fine: np.ndarray, factor: int, prefix: np.ndarray | None = Non
     return out
 
 
+def _coarse_chunks(generators, h: float, steps: int, noise_dim: int, factors):
+    """Yield ``(start, fine, sums)`` per chunk of ``lcm(factors)`` of the ``steps`` fine steps.
+
+    ``fine`` is the chunk's time-major ``(chunk, B, d)`` increments, drawn as by
+    :func:`generate_increments` into one buffer refilled per chunk; ``sums[f]`` is
+    the chunk coarsened by factor f as by :func:`coarsen`, each factor from the sums
+    of its largest divisor among the smaller factors: a fresh sum's additions, in order.
+    """
+    chunk = math.lcm(*factors)
+    blocks = np.empty((len(generators), chunk, noise_dim))
+    fine = np.empty((chunk, len(generators), noise_dim))
+    divisor = {f: max((g for g in factors if g < f and f % g == 0), default=None)
+               for f in sorted(factors)}
+    for start in range(0, steps, chunk):
+        _draw_rows(generators, blocks, fine, h)
+        sums = {}
+        for f, g in divisor.items():
+            sums[f] = _coarsen_rows(fine, f, sums.get(g))
+        yield start, fine, sums
+
+
 def generate_increments(grid: TimeGrid, noise_dim: int, seed: SeedSpec) -> IncrementTable:
     """Draw the full table of N(0, h) increments for one sample.
 
@@ -172,5 +194,8 @@ def load_increments(path) -> IncrementTable:
             )
         payload = fh.read(size)
     inc = np.frombuffer(payload, dtype="<f8").astype(float).reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(inc).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of {path} holds a non-finite increment: {inc[bad[0]]}")
     grid = TimeGrid(T=h * n, N=n)
     return IncrementTable(grid=grid, noise_dim=d, increments=inc)

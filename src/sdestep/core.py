@@ -190,7 +190,11 @@ class SchemeCoefficients:
             for i, v in enumerate(values):
                 # float() would take "1.0" and fail bare on None; and nan < 0 is
                 # False, so a NaN would slip past every comparison below
-                if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                try:  # an int beyond float range, such as 10**400, overflows isfinite
+                    finite = isinstance(v, numbers.Real) and math.isfinite(v)
+                except OverflowError:
+                    finite = False
+                if not finite:
                     raise ValueError(f"{name}[{i}] must be a finite real, got {v!r}")
             object.__setattr__(self, name, tuple(float(v) for v in values))
         if self.alpha[self.k] != 1.0:

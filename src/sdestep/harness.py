@@ -35,6 +35,7 @@ Reproducibility rules baked in here:
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,8 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# the study engine draws and coarsens through these module names, where a trace can patch them
-from .brownian import SeedSpec, _coarsen_rows, _draw_rows, coarsen, generate_increments
+from .brownian import SeedSpec, _coarse_chunks, coarsen, generate_increments
 from .core import (
     BACKWARD_EULER,
     BDF2,
@@ -167,7 +167,8 @@ class ExperimentConfig:
         if not self.base_seed < 2**64:
             raise ValueError("base_seed must fit in 64 bits")
         if self.second_init not in _SECOND_INITS:
-            raise ValueError(f"second_init must be 'bem' or 'copy', got {self.second_init!r}")
+            choices = " or ".join(map(repr, _SECOND_INITS))
+            raise ValueError(f"second_init must be {choices}, got {self.second_init!r}")
         if self.reference_scheme not in _REFERENCE_SCHEMES:
             raise ValueError(f"reference scheme must be one of {list(_REFERENCE_SCHEMES)}, "
                              f"got {self.reference_scheme!r}")
@@ -371,26 +372,42 @@ def write_csv(table: ErrorTable, path) -> None:
 _PASS_ROWS = 1024
 
 
-def _map_batches(config: ExperimentConfig, pass_fn) -> list:
-    """Per-batch partials of the fixed contiguous batches, in batch order.
+def _map_batches(config: ExperimentConfig, squares_fn) -> dict:
+    """Merged sums ``{key: (totals, valid)}`` of ``squares_fn``'s squares over all samples.
 
-    Consecutive batches are grouped into passes of at most
-    ``max(batch_size, _PASS_ROWS)`` rows; ``pass_fn(config, batches)`` steps
-    the rows of one pass, a list of ``(lo, hi)`` batch ranges, together and
-    returns one partial per batch.  ``threads`` only spreads the passes
-    over workers; the partials come back in batch order either way, so
-    merging them is deterministic.
+    Consecutive fixed batches are grouped into passes of at most
+    ``max(batch_size, _PASS_ROWS)`` rows, and :func:`_run_pass` returns one
+    partial per batch of a pass.  ``threads`` only spreads the passes over
+    workers; the partials are Kahan-merged in batch order either way.
     """
     n, size = config.samples, config.batch_size
     ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     per_pass = max(1, _PASS_ROWS // size)
     passes = [ranges[i:i + per_pass] for i in range(0, len(ranges), per_pass)]
+    run = functools.partial(_run_pass, config, squares_fn)
     if config.threads > 1 and len(passes) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda batches: pass_fn(config, batches), passes))
+            results = list(pool.map(run, passes))
     else:
-        results = [pass_fn(config, batches) for batches in passes]
-    return [part for parts in results for part in parts]
+        results = map(run, passes)
+    return _kahan_merge([part for parts in results for part in parts])
+
+
+def _run_pass(config: ExperimentConfig, squares_fn, batches: Sequence[tuple[int, int]]) -> list:
+    """Per-batch partials ``{key: (sums, valid)}`` of one pass of ``(lo, hi)`` batch ranges.
+
+    The reference runs once over all rows of the pass; ``squares_fn(config,
+    snapshots, coarse_incs)`` yields ``(key, squares)``, a tuple of per-sample
+    ``(B, columns)`` arrays, whose rows each batch reduces on its own.
+    """
+    lo, hi = batches[0][0], batches[-1][1]
+    snapshots, coarse_incs = _reference_pass(config, lo, hi)
+    out = [{} for _ in batches]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for key, squares in squares_fn(config, snapshots, coarse_incs):
+            for part, (blo, bhi) in zip(out, batches):
+                part[key] = _masked_sums(*(sq[blo - lo:bhi - lo] for sq in squares))
+    return out
 
 
 def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
@@ -399,61 +416,33 @@ def _reference_pass(config: ExperimentConfig, lo: int, hi: int):
     Returns ``(snapshots, coarse_incs)``, per level and both time-major: the
     reference states on the level grid, shape (N_l+1, B, m), so the
     reference rows of one step are one contiguous block, and the coarsened
-    increments, shape (N_l, B, d).  A level whose grid lies inside a finer
-    level's grid holds a strided view of the largest such level's array;
-    only levels that divide no finer level own their states and are
-    written while stepping.  A chunk is the lcm of the coarsening factors,
-    which divides ``ref_steps``, so every chunk coarsens whole.  Noise is
-    drawn and coarsened by the bodies :func:`brownian.generate_increments`
-    and :func:`brownian.coarsen` use: each chunk is drawn into the same two
-    buffers, and the factors are coarsened in ascending order, each from
-    the sums of its largest divisor among the smaller factors.  Steps run
-    in groups of the gcd of the factors, the spacing of the snapshot
-    positions.
+    increments, shape (N_l, B, d), from :func:`brownian._coarse_chunks`.
+    The reference is written every gcd of the coarsening factors fine steps
+    into one ``(ref_steps // gcd + 1, B, m)`` array whose strided views are
+    every level's snapshots: the finest level's grid on a nested ladder,
+    the grid of ``lcm(levels)`` steps otherwise.
     """
     model = config.model
     B = hi - lo
-    d = model.noise_dim
-    m = model.state_dim
-    ref_steps = config.ref_steps
     h_fine = config.fine_grid.h
-    factors = {n: ref_steps // n for n in config.levels}
-    gcd_all = math.gcd(*factors.values())
-    chunk = math.lcm(*factors.values())
-
+    factors = {n: config.ref_steps // n for n in config.levels}
+    gcd = math.gcd(*factors.values())
+    ref = np.empty((config.ref_steps // gcd + 1, B, model.state_dim))
+    ref[0] = config.x0
+    snapshots = {n: ref[::f // gcd] for n, f in factors.items()}
+    coarse_incs = {n: np.empty((n, B, model.noise_dim)) for n in config.levels}
     gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(lo, hi)]
-    x0 = np.repeat(np.asarray(config.x0, dtype=float)[None, :], B, axis=0)
-
-    # each level's states live in the array of the largest level its grid lies in
-    owner = {n: max(k for k in config.levels if k % n == 0) for n in config.levels}
-    owned = {n: np.empty((n + 1, B, m)) for n in config.levels if owner[n] == n}
-    for states in owned.values():
-        states[0] = x0
-    snapshots = {n: owned[owner[n]][::owner[n] // n] for n in config.levels}
-    coarse_incs = {n: np.empty((n, B, d)) for n in config.levels}
-    # each factor continues from the sums of its largest divisor among the smaller factors
-    level_of = {f: n for n, f in factors.items()}
-    divisor = {f: max((g for g in level_of if g < f and f % g == 0), default=None)
-               for f in sorted(level_of)}
-    blocks = np.empty((B, chunk, d))
-    fine_chunk = np.empty((chunk, B, d))
-
-    coeffs = SCHEME_COEFFS[config.reference_scheme]
-    stepper = _Stepper(model, coeffs, config.solver, (h_fine,), x0, config.second_init)
+    stepper = _Stepper(model, SCHEME_COEFFS[config.reference_scheme], config.solver, (h_fine,),
+                       ref[0], config.second_init)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for consumed in range(0, ref_steps, chunk):
-            _draw_rows(gens, blocks, fine_chunk, h_fine)
-            sums = {}
-            for f, g in divisor.items():
-                sums[f] = _coarsen_rows(fine_chunk, f, sums.get(g))
-                coarse_incs[level_of[f]][consumed // f:(consumed + chunk) // f] = sums[f]
-            for t in range(0, chunk, gcd_all):
-                for dW in fine_chunk[t:t + gcd_all]:
+        for start, fine, sums in _coarse_chunks(gens, h_fine, config.ref_steps,
+                                                model.noise_dim, factors.values()):
+            for n, f in factors.items():
+                coarse_incs[n][start // f:(start + len(fine)) // f] = sums[f]
+            for t in range(0, len(fine), gcd):
+                for dW in fine[t:t + gcd]:
                     x = stepper.advance(dW)
-                g_step = consumed + t + gcd_all
-                for n, states in owned.items():
-                    if g_step % factors[n] == 0:
-                        states[g_step // factors[n]] = x
+                ref[(start + t) // gcd + 1] = x
     return snapshots, coarse_incs
 
 
@@ -507,23 +496,12 @@ def _level_deviations(config: ExperimentConfig, scheme: str, coarse_incs: dict,
     return devsq
 
 
-def _study_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
-    """Per-batch partials ``{(level, scheme): (sums, valid)}`` of the squared deviations.
-
-    The reference and, per scheme, one lockstep stepper over every level
-    run once over all rows of the pass; each batch's rows are then reduced
-    on their own.
-    """
-    lo, hi = batches[0][0], batches[-1][1]
-    snapshots, coarse_incs = _reference_pass(config, lo, hi)
-
-    out = [{} for _ in batches]
+def _study_squares(config: ExperimentConfig, snapshots: dict, coarse_incs: dict):
+    """Yield ``((n, scheme), (devsq,))`` per level and scheme, one scheme's
+    :func:`_level_deviations` alive at a time."""
     for scheme in config.schemes:
-        # the loop holds one scheme's deviations at a time
         for n, devsq in _level_deviations(config, scheme, coarse_incs, snapshots).items():
-            for part, (blo, bhi) in zip(out, batches):
-                part[(n, scheme)] = _masked_sums(devsq[blo - lo:bhi - lo])
-    return out
+            yield (n, scheme), (devsq,)
 
 
 def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
@@ -542,7 +520,7 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     for scheme, n in dict.fromkeys([(config.reference_scheme, config.ref_steps),
                                     *((s, n) for n in config.levels for s in config.schemes)]):
         _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n).h)
-    merged = _kahan_merge(_map_batches(config, _study_pass))
+    merged = _map_batches(config, _study_squares)
 
     rows = []
     prev: dict[str, tuple[float, float] | None] = {s: None for s in config.schemes}
@@ -631,24 +609,13 @@ def residual_defects(model: SdeModel, states: np.ndarray, increments: np.ndarray
     return one, pair
 
 
-def _residual_pass(config: ExperimentConfig, batches: Sequence[tuple[int, int]]) -> list:
-    """Per-batch partials ``{level: ((one sums, pair sums), valid)}`` of the squared defects,
-    from one reference pass over all rows of the pass."""
-    model = config.model
-    lo, hi = batches[0][0], batches[-1][1]
-    snapshots, coarse_incs = _reference_pass(config, lo, hi)
-    out = [{} for _ in batches]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in config.levels:
-            h = config.level_grid(n).h
-            states = np.ascontiguousarray(snapshots[n].swapaxes(0, 1))
-            increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
-            one, pair = residual_defects(model, states, increments, h)
-            one_sq, pair_sq = np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1)
-            for part, (blo, bhi) in zip(out, batches):
-                rows = slice(blo - lo, bhi - lo)
-                part[n] = _masked_sums(one_sq[rows], pair_sq[rows])
-    return out
+def _residual_squares(config: ExperimentConfig, snapshots: dict, coarse_incs: dict):
+    """Yield ``(n, (one_sq, pair_sq))``: each level's squared defect norms of the reference."""
+    for n in config.levels:
+        states = np.ascontiguousarray(snapshots[n].swapaxes(0, 1))
+        increments = np.ascontiguousarray(coarse_incs[n].swapaxes(0, 1))
+        one, pair = residual_defects(config.model, states, increments, config.level_grid(n).h)
+        yield n, (np.sum(one * one, axis=-1), np.sum(pair * pair, axis=-1))
 
 
 def estimate_residuals(config: ExperimentConfig) -> ResidualReport:
@@ -665,7 +632,7 @@ def estimate_residuals(config: ExperimentConfig) -> ResidualReport:
             f"Monte Carlo norm, got {config.samples}"
         )
     _stability_warnings(config.model, SCHEME_COEFFS[config.reference_scheme], config.fine_grid.h)
-    merged = _kahan_merge(_map_batches(config, _residual_pass))
+    merged = _map_batches(config, _residual_squares)
 
     bem_max, pair_max, hs = [], [], []
     for n in config.levels:

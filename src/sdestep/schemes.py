@@ -543,7 +543,8 @@ class _Stepper:
         second_init: str = "bem",
     ):
         if second_init not in _SECOND_INITS:
-            raise ValueError(f"second_init must be 'bem' or 'copy', got {second_init!r}")
+            choices = " or ".join(map(repr, _SECOND_INITS))
+            raise ValueError(f"second_init must be {choices}, got {second_init!r}")
         k = coeffs.k
         self.x = np.array(x0, dtype=float)
         shape = self.x.shape

@@ -20,7 +20,7 @@ from sdestep import (
     load_increments,
     make_model,
 )
-from sdestep.brownian import _coarsen_rows
+from sdestep.brownian import _coarse_chunks, _coarsen_rows
 
 
 def test_seed_spec_validation():
@@ -202,6 +202,24 @@ def test_coarsening_from_a_divisor_prefix_is_bitwise_equal_to_direct(d):
             assert _coarsen_rows(fine, f, _coarsen_rows(fine, g)).tobytes() == direct
 
 
+def test_coarse_chunks_equal_each_stream_drawn_and_coarsened_at_once():
+    """Chunk by chunk, every stream's draws and sums are the bits of its one-shot table."""
+    grid = TimeGrid(T=1.0, N=60)
+    factors = (10, 4, 1, 5)  # lcm 20: three chunks; 10 continues from 5's sums, 4 from 1's
+    tables = [generate_increments(grid, 2, SeedSpec(7, i)) for i in range(3)]
+    gens = [SeedSpec(7, i).generator() for i in range(3)]
+    starts = []
+    for start, fine, sums in _coarse_chunks(gens, grid.h, grid.N, 2, factors):
+        starts.append(start)
+        assert fine.shape == (20, 3, 2)
+        for i, table in enumerate(tables):
+            assert fine[:, i].tobytes() == table.increments[start:start + 20].tobytes()
+            for f in factors:
+                want = coarsen(table, f).increments[start // f:(start + 20) // f]
+                assert sums[f][:, i].tobytes() == want.tobytes(), f
+    assert starts == [0, 20, 40]
+
+
 def test_coarsen_matches_ascending_python_sum():
     # the accumulation order is pinned: ascending fine index, one block at a time
     grid = TimeGrid(T=1.0, N=12)
@@ -271,6 +289,17 @@ def test_load_rejects_a_header_step_that_is_no_positive_finite_real(tmp_path, h)
     path = tmp_path / "bad_h.bin"
     path.write_bytes(struct.pack("<qqd", 4, 1, h) + bytes(32))
     with pytest.raises(ValueError, match="invalid header .*bad_h.bin"):
+        load_increments(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_a_non_finite_payload_naming_the_first_bad_row(tmp_path, bad):
+    # such a table once loaded as is, and integrate ran it into NaN without an error
+    table = IncrementTable(TimeGrid(T=0.4, N=4), 1, np.array([[0.1], [bad], [0.2], [np.inf]]))
+    path = tmp_path / "bad_payload.bin"
+    dump_increments(table, path)
+    with pytest.raises(ValueError, match=rf"^row 1 of .*bad_payload.bin holds a non-finite "
+                                         rf"increment: \[{bad}\]$"):
         load_increments(path)
 
 

@@ -92,6 +92,8 @@ def test_scheme_coefficients_validation():
     ("beta", 1, float("nan")),
     ("beta", 0, float("-inf")),
     ("gamma", 0, float("nan")),
+    ("gamma", 0, 10**400),  # no float: these once raised a bare OverflowError
+    ("gamma", 0, -10**400),
 ])
 def test_scheme_coefficients_name_a_non_finite_entry(field, index, value):
     # a NaN beta_k once made an explicit scheme and a NaN gamma an all-NaN path, without an error

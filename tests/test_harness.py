@@ -33,9 +33,10 @@ from sdestep.harness import (
     _map_batches,
     _masked_sums,
     _reference_pass,
-    _residual_pass,
+    _residual_squares,
     _rms_max,
-    _study_pass,
+    _run_pass,
+    _study_squares,
     estimate_residuals,
     residual_defects,
 )
@@ -121,6 +122,15 @@ def test_experiment_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+
+def test_config_and_stepper_name_every_start_policy_in_one_message():
+    message = "^second_init must be 'bem' or 'copy', got 'zeroed'$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(model=VOL32, x0=(1.0,), second_init="zeroed")
+    with pytest.raises(ValueError, match=message):
+        schemes._Stepper(VOL32, harness.SCHEME_COEFFS["bdf2"], schemes.ImplicitSolverConfig(),
+                         (0.1,), [1.0], "zeroed")
 
 
 @pytest.mark.parametrize("value", [2.5, float("nan")])
@@ -251,21 +261,20 @@ def test_engine_snapshots_equal_per_sample_references_bitwise(model, x0, levels,
             assert snapshots[n][:, i].tobytes() == want.tobytes()
 
 
+# the one reference array spans the grid of lcm(levels) steps: level 800's grid on a nested
+# ladder, 201 rows for levels (40, 50) at ref_steps 200
 @pytest.mark.parametrize(
-    "levels,ref_steps,owners",
-    [((25, 50, 100, 200, 400, 800), 1600, {n: 800 for n in (25, 50, 100, 200, 400, 800)}),
-     ((40, 50), 200, {40: 40, 50: 50}),
-     ((40, 50, 100), 200, {40: 40, 50: 100, 100: 100})],
+    "levels,ref_steps,rows",
+    [((25, 50, 100, 200, 400, 800), 1600, 801), ((40, 50), 200, 201), ((40, 50, 100), 200, 201)],
     ids=["nested", "unnested", "mixed"],
 )
-def test_engine_snapshots_of_nested_levels_are_views_of_the_finest_array(levels, ref_steps,
-                                                                         owners):
+def test_engine_snapshots_of_nested_levels_are_views_of_the_finest_array(levels, ref_steps, rows):
     cfg = _multi_chunk_config(VOL32, (1.0,), levels, ref_steps)
     snapshots, _coarse_incs = _reference_pass(cfg, 0, 3)
+    base = snapshots[levels[0]].base
+    assert base.shape == (rows, 3, 1)
     for n in levels:
-        assert snapshots[n].shape == (n + 1, 3, 1)
-        for k in levels:
-            assert np.shares_memory(snapshots[n], snapshots[k]) == (owners[n] == owners[k])
+        assert snapshots[n].shape == (n + 1, 3, 1) and snapshots[n].base is base
 
 
 def _stepped_alone(cfg, scheme, increments, ref_states):
@@ -417,12 +426,26 @@ def test_copy_start_checks_no_one_step_bound():
         run_convergence_study(ExperimentConfig(second_init="bem", **kw))
 
 
+def _passes(monkeypatch, cfg):
+    """The batch ranges of each pass ``_map_batches`` runs for ``cfg``, in order, unstepped."""
+    grouped = []
+
+    def record(config, squares_fn, batches):
+        grouped.append(batches)
+        return []
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_run_pass", record)
+        _map_batches(dataclasses.replace(cfg, threads=1), None)
+    return grouped
+
+
 def test_a_study_warns_once_per_offending_scheme_and_step_size(monkeypatch):
     # h = 0.2 exceeds the stricter candidate 0.1 of both implicit schemes; 0.1 and 0.05 do not
     cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(5, 10, 20), samples=12, ref_steps=40,
                            base_seed=2, batch_size=4)
     monkeypatch.setattr(harness, "_PASS_ROWS", 4)
-    assert len(_map_batches(cfg, lambda config, batches: [batches])) == 3
+    assert len(_passes(monkeypatch, cfg)) == 3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_convergence_study(cfg)
@@ -651,7 +674,7 @@ def test_thread_count_never_changes_the_rendered_table():
     assert serial.render_csv() == pooled.render_csv()
 
 
-def test_batch_fan_out_keeps_batch_order_for_any_thread_count():
+def test_batch_fan_out_keeps_batch_order_for_any_thread_count(monkeypatch):
     base = dict(
         model=VOL32, x0=(1.0,), levels=(25, 50), samples=100, ref_steps=100,
         base_seed=5, batch_size=32,
@@ -659,8 +682,12 @@ def test_batch_fan_out_keeps_batch_order_for_any_thread_count():
     serial = ExperimentConfig(**base, threads=1)
     pooled = ExperimentConfig(**base, threads=3)
     ranges = [(0, 32), (32, 64), (64, 96), (96, 100)]
-    assert _map_batches(pooled, lambda config, batches: batches) == ranges
-    assert _map_batches(serial, lambda config, batches: batches) == ranges
+    with monkeypatch.context() as m:  # each batch's partial is its range; the merge sees them
+        m.setattr(harness, "_PASS_ROWS", 32)  # one batch per pass: threads=3 starts the pool
+        m.setattr(harness, "_run_pass", lambda config, squares_fn, batches: batches)
+        m.setattr(harness, "_kahan_merge", list)
+        assert _map_batches(pooled, None) == ranges
+        assert _map_batches(serial, None) == ranges
     # repr round-trips floats exactly, so equal reprs mean bitwise-equal defects
     assert repr(estimate_residuals(serial)) == repr(estimate_residuals(pooled))
 
@@ -673,7 +700,8 @@ def _partial_bytes(partials):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("pass_fn", [_study_pass, _residual_pass], ids=["study", "residual"])
+@pytest.mark.parametrize("squares_fn", [_study_squares, _residual_squares],
+                         ids=["study", "residual"])
 @pytest.mark.parametrize(
     "model,x0,extra",
     [
@@ -684,13 +712,13 @@ def _partial_bytes(partials):
     ],
     ids=["vol32", "vol32-copy", "vol32-bem-ref", "toy2d"],
 )
-def test_a_pass_reduces_each_batch_as_if_it_were_stepped_alone(pass_fn, model, x0, extra):
+def test_a_pass_reduces_each_batch_as_if_it_were_stepped_alone(squares_fn, model, x0, extra):
     cfg = _multi_chunk_config(model, x0, batch_size=4, **extra)
     batches = [(0, 4), (4, 8), (8, 9)]  # the last batch is ragged
-    fused = pass_fn(cfg, batches)
-    alone = [part for batch in batches for part in pass_fn(cfg, [batch])]
+    fused = _run_pass(cfg, squares_fn, batches)
+    alone = [part for batch in batches for part in _run_pass(cfg, squares_fn, [batch])]
     assert _partial_bytes(fused) == _partial_bytes(alone)
-    if model is TOY and pass_fn is _study_pass:
+    if model is TOY and squares_fn is _study_squares:
         # explicit Euler explodes in every row at N=25 and in some rows of each batch at N=50
         assert [part[(25, "eulm")][1] for part in fused] == [0, 0, 0]
         assert [part[(50, "eulm")][1] for part in fused] == [3, 2, 1]
@@ -707,12 +735,24 @@ def test_studies_over_several_passes_keep_their_output_for_any_thread_count(monk
     one_pass = repr(run_convergence_study(cfg))
     one_pass_defects = repr(estimate_residuals(dataclasses.replace(cfg, samples=100)))
     monkeypatch.setattr(harness, "_PASS_ROWS", 8)  # two batches per pass
-    grouped = _map_batches(cfg, lambda config, batches: [batches])
-    assert grouped == [[(lo, lo + 4), (lo + 4, min(lo + 8, 30))] for lo in range(0, 30, 8)]
+    assert _passes(monkeypatch, cfg) == [[(lo, lo + 4), (lo + 4, min(lo + 8, 30))]
+                                         for lo in range(0, 30, 8)]
     for threads in (1, 3):
         cfg = dataclasses.replace(cfg, threads=threads)
         assert repr(run_convergence_study(cfg)) == one_pass
         assert repr(estimate_residuals(dataclasses.replace(cfg, samples=100))) == one_pass_defects
+
+
+def test_studies_of_three_default_passes_are_bitwise_equal_for_any_thread_count(monkeypatch):
+    cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(10, 20, 40), samples=3000,
+                           ref_steps=80, base_seed=6)
+    # three passes of one default batch each
+    assert [len(batches) for batches in _passes(monkeypatch, cfg)] == [1, 1, 1]
+    # repr round-trips floats exactly, so equal reprs mean bitwise-equal results
+    runs = {threads: (repr(run_convergence_study(dataclasses.replace(cfg, threads=threads))),
+                      repr(estimate_residuals(dataclasses.replace(cfg, threads=threads))))
+            for threads in (1, 2, 3)}
+    assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
 def test_explosion_accounting_for_explicit_stepping():

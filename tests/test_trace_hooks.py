@@ -20,8 +20,6 @@ from sdestep import brownian, cli, harness, schemes
         (harness, "step_bdf2"),
         (harness, "step_bem"),
         (harness, "step_explicit_euler"),
-        (harness, "_draw_rows"),
-        (harness, "_coarsen_rows"),
         (schemes, "solve_implicit"),
         (schemes, "step_lmm"),
         (cli, "integrate"),
