@@ -110,14 +110,20 @@ def _coarsen_rows(fine: np.ndarray, factor: int, prefix: np.ndarray | None = Non
 
 
 def _coarse_chunks(generators, h: float, steps: int, noise_dim: int, factors):
-    """Yield ``(start, fine, sums)`` per chunk of ``lcm(factors)`` of the ``steps`` fine steps.
+    """Yield ``(start, fine, sums)`` per chunk of the ``steps`` fine steps.
 
-    ``fine`` is the chunk's time-major ``(chunk, B, d)`` increments, drawn as by
-    :func:`generate_increments` into one buffer refilled per chunk; ``sums[f]`` is
-    the chunk coarsened by factor f as by :func:`coarsen`, each factor from the sums
-    of its largest divisor among the smaller factors: a fresh sum's additions, in order.
+    A chunk is the smallest multiple c of ``lcm(factors)`` that divides ``steps``
+    with ``64 <= c <= max(lcm, 1024)``, else the lcm itself: every stream makes one
+    draw call per chunk, so a ladder of fine levels must not draw a step or two at a
+    time, and the cap bounds the buffers.  ``fine`` is the chunk's time-major
+    ``(chunk, B, d)`` increments, drawn as by :func:`generate_increments` into one
+    buffer refilled per chunk; ``sums[f]`` is the chunk coarsened by factor f as by
+    :func:`coarsen`, each factor from the sums of its largest divisor among the
+    smaller factors: a fresh sum's additions, in order.
     """
-    chunk = math.lcm(*factors)
+    lcm = math.lcm(*factors)
+    chunk = next((c for c in range(lcm, max(lcm, 1024) + 1, lcm)
+                  if c >= 64 and steps % c == 0), lcm)
     blocks = np.empty((len(generators), chunk, noise_dim))
     fine = np.empty((chunk, len(generators), noise_dim))
     divisor = {f: max((g for g in factors if g < f and f % g == 0), default=None)

@@ -7,8 +7,9 @@ Four subcommands, all fully seeded (no hidden entropy):
 * ``check-model``— monotonicity / coercivity / Lipschitz condition scan
 * ``residuals``  — defect-scaling diagnostic across step sizes
 
-Exit codes: 0 success, 2 bad arguments or configuration, 3 when an
-implicit solve hit a singular Newton linearization.
+Exit codes: 0 success, 2 bad arguments or configuration (a count too
+large to allocate among them), 3 when an implicit solve hit a singular
+Newton linearization.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
     except SolverSingularError as err:
         print(f"error: singular implicit solve: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -520,10 +520,11 @@ class _Stepper:
     ``h beta_i`` operands).  The history keeps, per old state, the state,
     its noise product g(U) dW and, only when some beta_i (i < k) is
     non-zero, its drift; so each step evaluates the diffusion once and BDF2
-    evaluates no history drift.  The first k-1 calls of :meth:`advance`
-    fill the starting values (one drift-implicit Euler step each with
-    ``second_init="bem"``, or copies of x0 with ``"copy"``); after them it
-    runs the recursion.
+    evaluates no history drift.  Each call of :meth:`advance` pushes the
+    current state's entry; while the history holds fewer than k entries
+    the next state is a starting value (one drift-implicit Euler step from
+    the newest entry with ``second_init="bem"``, a copy with ``"copy"``),
+    and from then on R is formed, the oldest entry dropped and R solved.
 
     ``h`` is a tuple with one step size per block of equally many
     consecutive rows of x0; a single state or a plain batch is one block,
@@ -564,7 +565,6 @@ class _Stepper:
         self._rhs = self._form(*self._h_factors)
         self._k = k
         self._history = []
-        self.advance = self._start if k >= 2 else self._recur
 
     def narrow(self, rows: int) -> None:
         """Keep the first ``rows`` rows, whole blocks: x, the history and the
@@ -577,26 +577,18 @@ class _Stepper:
         self._h_factors = tuple(factor[:rows] for factor in self._h_factors)
         self._rhs = self._form(*self._h_factors)
 
-    def _start(self, dW: np.ndarray) -> np.ndarray:
-        x = self.x
-        f = None if self._drift is None else self._drift(x)
-        self._history.append((x, self._noise(self._diffusion(x), dW), f))
-        if self._start_solve is None:
-            self.x = x.copy()
-        else:
-            self.x = self._start_solve(self._start_rhs(self._history[-1:]))
-        if len(self._history) == self._k - 1:
-            self.advance = self._recur
-        return self.x
-
-    def _recur(self, dW: np.ndarray) -> np.ndarray:
+    def advance(self, dW: np.ndarray) -> np.ndarray:
         x = self.x
         history = self._history
         f = None if self._drift is None else self._drift(x)
         history.append((x, self._noise(self._diffusion(x), dW), f))
-        R = self._rhs(history)
-        del history[0]
-        self.x = R if self._solve is None else self._solve(R)
+        if len(history) < self._k:
+            start = self._start_solve
+            self.x = x.copy() if start is None else start(self._start_rhs(history[-1:]))
+        else:
+            R = self._rhs(history)
+            del history[0]
+            self.x = R if self._solve is None else self._solve(R)
         return self.x
 
 

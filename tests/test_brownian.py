@@ -220,6 +220,42 @@ def test_coarse_chunks_equal_each_stream_drawn_and_coarsened_at_once():
     assert starts == [0, 20, 40]
 
 
+class _CountingGenerator:
+    """A generator that counts its draw calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def standard_normal(self, **kw):
+        self.calls += 1
+        return self.gen.standard_normal(**kw)
+
+
+@pytest.mark.parametrize(
+    "factors,steps,chunk",
+    [((1,), 1600, 64), ((1,), 1575, 75), ((3,), 3063, 3)],
+    ids=["64-of-1600", "75-of-1575", "capped-lcm-3"],
+)
+def test_coarse_chunks_draw_fine_ladders_in_large_chunks_bitwise(factors, steps, chunk):
+    """A chunk is the smallest multiple of the lcm in [64, max(lcm, 1024)] that divides
+    the steps (3063 = 3 * 1021 has none), and the chunks still hold the one-shot bits."""
+    grid = TimeGrid(T=1.0, N=steps)
+    tables = [generate_increments(grid, 1, SeedSpec(9, i)) for i in range(2)]
+    gens = [_CountingGenerator(SeedSpec(9, i).generator()) for i in range(2)]
+    fines, sums = [], {f: [] for f in factors}
+    for _, fine, chunk_sums in _coarse_chunks(gens, grid.h, steps, 1, factors):
+        assert len(fine) == chunk
+        fines.append(fine.copy())
+        for f in factors:
+            sums[f].append(chunk_sums[f].copy())
+    assert [g.calls for g in gens] == [steps // chunk] * 2
+    for i, table in enumerate(tables):
+        assert np.concatenate(fines)[:, i].tobytes() == table.increments.tobytes()
+        for f in factors:
+            want = coarsen(table, f).increments
+            assert np.concatenate(sums[f])[:, i].tobytes() == want.tobytes(), f
+
+
 def test_coarsen_matches_ascending_python_sum():
     # the accumulation order is pinned: ascending fine index, one block at a time
     grid = TimeGrid(T=1.0, N=12)

@@ -201,6 +201,20 @@ def test_check_model_rejects_negative_counts_by_name(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "vol32", "--steps", str(10**18)],
+        ["check-model", "--model", "vol32", "--condition", "monotonicity", "--pairs", str(10**18)],
+    ],
+    ids=["simulate", "check-model"],
+)
+def test_a_count_too_large_to_allocate_exits_two(argv, capsys):
+    # 10**18 float64 rows exceed any 64-bit address space, so the allocation fails at once
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_model_show_prints_at_most_the_recorded_violations(capsys):
     argv = ["check-model", "--model", "vol32", "--lambda", "1", "--sigma", "1",
             "--condition", "coercivity", "--pairs", "20000"]

@@ -208,14 +208,16 @@ def test_reference_trajectory_is_deterministic_per_sample():
 
 
 def _multi_chunk_config(model, x0, levels=(25, 50), ref_steps=400, **kw):
-    # by default factors 16 and 8: 16-step chunks, 25 of them per reference pass
+    # by default factors 16 and 8: five 80-step chunks per reference pass
     return ExperimentConfig(
         model=model, x0=x0, levels=levels, samples=9, ref_steps=ref_steps, base_seed=21, **kw
     )
 
 
-# levels (40, 50) do not nest: factors 5 and 4 give 20-step chunks, larger than either factor.
-# Factors 12, 6, 4, 2 nest in part: 12 continues from 6's sums, 6 and 4 from 2's.
+# levels (40, 50) do not nest: factors 5 and 4 (lcm 20) give two 100-step chunks.
+# Factors 12, 6, 4, 2 nest in part: 12 continues from 6's sums, 6 and 4 from 2's; at
+# ref_steps 300 that is one chunk, so the ladder also runs at 600 (factors 24, 12, 8, 4),
+# in five 120-step chunks.
 # Levels (50, 100, 200) at ref_steps 200 include factor 1, from whose sums factor 2 continues.
 _ENGINE_CASES = pytest.mark.parametrize(
     "model,x0,levels,ref_steps",
@@ -226,11 +228,13 @@ _ENGINE_CASES = pytest.mark.parametrize(
         (TOY, (2.0, 3.0), (40, 50), 200),
         (VOL32, (1.0,), (25, 50, 75, 150), 300),
         (TOY, (2.0, 3.0), (25, 50, 75, 150), 300),
+        (VOL32, (1.0,), (25, 50, 75, 150), 600),
         (VOL32, (1.0,), (50, 100, 200), 200),
         (TOY, (2.0, 3.0), (50, 100, 200), 200),
     ],
     ids=["vol32", "toy2d", "vol32-unnested", "toy2d-unnested", "vol32-part-nested",
-         "toy2d-part-nested", "vol32-factor-1", "toy2d-factor-1"],
+         "toy2d-part-nested", "vol32-part-nested-chunked",
+         "vol32-factor-1", "toy2d-factor-1"],
 )
 
 

@@ -959,8 +959,13 @@ def test_integrate_reports_the_failing_step_of_a_bdf2_newton_solve(beta, step):
         SchemeCoefficients(
             k=2, alpha=(0.0, -1.0, 1.0), beta=(-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0), gamma=(-0.5, 1.0)
         ),
+        # three-step Adams-Moulton drift weights: two starting steps, then drift history
+        SchemeCoefficients(
+            k=3, alpha=(0.0, 0.0, -1.0, 1.0),
+            beta=(1.0 / 24.0, -5.0 / 24.0, 19.0 / 24.0, 9.0 / 24.0), gamma=(0.0, 0.0, 1.0)
+        ),
     ],
-    ids=["theta-half", "two-step-drift-history"],
+    ids=["theta-half", "two-step-drift-history", "three-step-drift-history"],
 )
 def test_integrate_equals_chained_step_lmm_calls_bitwise(coeffs):
     """General tuples, with drift history, give exactly what step_lmm gives step by step."""
