@@ -15,6 +15,7 @@ Newton linearization.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -116,6 +117,19 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an ``--out`` that :func:`_emit` could not write, before any work is done."""
+    if out is None or out == "-":
+        return
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory")
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {out!r}: directory {folder!r} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"--out {out!r}: directory {folder!r} is not writable")
 
 
 def _study_config(args, **fields) -> ExperimentConfig:
@@ -275,6 +289,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except SolverSingularError as err:
         print(f"error: singular implicit solve: {err}", file=sys.stderr)

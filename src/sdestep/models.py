@@ -4,8 +4,9 @@ Two model families drive the numerical experiments:
 
 ``vol32``
     Scalar 3/2-volatility dynamics dX = (X - lam*X|X|) dt + sigma*|X|^{3/2} dW.
-    The drift-implicit step equation has a closed-form solution, which makes
-    this family cheap enough for large Monte Carlo runs.
+    The drift-implicit step equation has a closed-form solution
+    (:func:`closed_form_32vol`, the model's ``closed_form_implicit``), which
+    makes this family cheap enough for large Monte Carlo runs.
 
 ``toy2d``
     A two-dimensional cubic system dX = (f(X) - A X) dt + g(X) dW with
@@ -15,23 +16,25 @@ Two model families drive the numerical experiments:
 
 The module also provides samplers that probe the three structural
 inequalities (monotonicity, coercivity, local Lipschitz drift) on random
-and deterministic point sets and report any violations found.
+and deterministic point sets and report any violations found.  It imports
+only :mod:`core`: the steppers reach a model through its ``SdeModel``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .core import SdeModel, _const, _require_count, _require_growth_exponent
 from .core import _require_positive_finite
-from .schemes import _closed_form_32vol_solver
 
 __all__ = [
     "ThreeHalvesVol",
+    "closed_form_32vol",
     "ToyCubic2D",
     "make_model",
     "MODEL_DEFAULTS",
@@ -114,6 +117,73 @@ class ThreeHalvesVol:
 
     def as_sde_model(self) -> SdeModel:
         return _sde_model(self, 1, 2.0, self.closed_form_implicit)
+
+
+def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
+    """Exact drift-implicit solve for the 3/2-volatility family.
+
+    Solves ``x - beta*h*(x - lam*x*|x|) = R`` for scalar states, where lam,
+    beta and h are positive finite reals (a ``ValueError`` names the one
+    that is not).  On each sign branch the equation is a quadratic with
+    non-negative discriminant; the root that depends continuously on R is
+    returned.  The formula is evaluated in rationalized form,
+
+        x = sign(R) * a / (c + sqrt(c*c + a)),
+        a = |R| / (beta*h*lam),  c = (1 - beta*h) / (2*beta*h*lam),
+
+    which avoids the catastrophic cancellation of the textbook
+    ``-c + sqrt(c^2 + a)`` expression when ``a`` is tiny.  When ``c*c``
+    overflows (beta*h*lam below about 1e-154) the root is divided through
+    by ``c``: ``x = sign(R) * q / (1 + sqrt(1 + q/c))`` with
+    ``q = a/c = 2|R| / (1 - beta*h)``.  A ``c`` that is itself infinite
+    (beta*h*lam below about 3e-309) is a ``ValueError`` naming ``h``.
+    ``sigma`` is accepted for signature symmetry with the model family
+    but plays no role: the diffusion is handled explicitly by the schemes.
+
+    Works elementwise on arrays; scalar input yields a float.  The checks,
+    the branch and the constants are settled once per ``(lam, beta, h)``
+    (:func:`_closed_form_32vol_solver`).
+    """
+    x = _closed_form_32vol_solver(lam, beta, h)(np.asarray(R, dtype=float))
+    return float(x) if x.ndim == 0 else x
+
+
+@lru_cache
+def _closed_form_32vol_solver(lam: float, beta: float, h: float):
+    """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
+
+    Checks that lam, beta and h are positive finite reals (naming the one
+    that is not), that ``beta*h*lam`` does not underflow to 0 and that ``c``
+    is finite, picks the branch and holds its constants as read-only 0-d
+    float64 arrays (``solve.args``), so a call does only the array
+    arithmetic, in the order of the formula.
+    R must be a float64 array: the root converts nothing.
+    """
+    _require_positive_finite(lam=lam, beta=beta, h=h)
+    bh = beta * h
+    if not (bh * lam > 0.0):
+        raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")
+    c = float((1.0 - bh) / (2.0 * bh * lam))
+    if not math.isfinite(c):
+        raise ValueError(
+            f"step size h={h} is too small for the closed-form solve: "
+            f"(1 - beta*h)/(2*beta*h*lam) overflows at beta*h*lam={bh * lam}"
+        )
+    if math.isfinite(c * c):
+        return partial(_rationalized_root, _const(bh * lam), _const(c), _const(c * c))
+    return partial(_divided_root, _const(1.0 - bh), _const(c))
+
+
+def _rationalized_root(bh_lam: np.ndarray, c: np.ndarray, c_squared: np.ndarray,
+                       R: np.ndarray) -> np.ndarray:
+    # np.sign, not np.copysign: sign(-0.0) is +0.0, so a zero root stays +0
+    a = np.abs(R) / bh_lam
+    return np.sign(R) * (a / (c + np.sqrt(c_squared + a)))
+
+
+def _divided_root(one_minus_bh: np.ndarray, c: np.ndarray, R: np.ndarray) -> np.ndarray:
+    q = 2.0 * np.abs(R) / one_minus_bh
+    return np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ where R aggregates everything already known (old states, explicit drift
 terms, noise terms).  For monotone drifts this equation has a unique
 solution whenever ``h * beta * L < 1``.  Every implicit solve checks that
 bound once, when it is set up (:func:`_solve_core`), for each ``beta`` a
-run will use.  The set-up returns ``solve(R)``, a function of R alone: a
-model-supplied closed form or a fixed number of Newton iterations started
-from R.  A non-finite row of R runs through the same arithmetic and comes
-back non-finite.  A singular Newton linearization of a single state raises
+run will use.  The set-up returns ``solve(R)``, a function of R alone: the
+model's closed form (``SdeModel.closed_form_implicit``; this module holds no
+model's code) or a fixed number of Newton iterations started from R.  A
+non-finite row of R runs through the same arithmetic and comes back
+non-finite.  A singular Newton linearization of a single state raises
 :class:`SolverSingularError`; :func:`integrate` attaches the failing step.
 
 All steppers are vectorized over leading axes: states may be ``(m,)`` or
@@ -37,7 +38,6 @@ __all__ = [
     "StepSizeError",
     "SolverSingularError",
     "ImplicitSolverConfig",
-    "closed_form_32vol",
     "solve_implicit",
     "step_explicit_euler",
     "step_bem",
@@ -159,73 +159,6 @@ def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
     if dW.shape[-1] != d:
         raise ValueError(f"noise dimension mismatch: matrix has d={d}, increment {dW.shape[-1]}")
     return _noise_product(d)(g, dW)
-
-
-def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
-    """Exact drift-implicit solve for the 3/2-volatility family.
-
-    Solves ``x - beta*h*(x - lam*x*|x|) = R`` for scalar states, where lam,
-    beta and h are positive finite reals (a ``ValueError`` names the one
-    that is not).  On each sign branch the equation is a quadratic with
-    non-negative discriminant; the root that depends continuously on R is
-    returned.  The formula is evaluated in rationalized form,
-
-        x = sign(R) * a / (c + sqrt(c*c + a)),
-        a = |R| / (beta*h*lam),  c = (1 - beta*h) / (2*beta*h*lam),
-
-    which avoids the catastrophic cancellation of the textbook
-    ``-c + sqrt(c^2 + a)`` expression when ``a`` is tiny.  When ``c*c``
-    overflows (beta*h*lam below about 1e-154) the root is divided through
-    by ``c``: ``x = sign(R) * q / (1 + sqrt(1 + q/c))`` with
-    ``q = a/c = 2|R| / (1 - beta*h)``.  A ``c`` that is itself infinite
-    (beta*h*lam below about 3e-309) is a ``ValueError`` naming ``h``.
-    ``sigma`` is accepted for signature symmetry with the model family
-    but plays no role: the diffusion is handled explicitly by the schemes.
-
-    Works elementwise on arrays; scalar input yields a float.  The checks,
-    the branch and the constants are settled once per ``(lam, beta, h)``
-    (:func:`_closed_form_32vol_solver`).
-    """
-    x = _closed_form_32vol_solver(lam, beta, h)(np.asarray(R, dtype=float))
-    return float(x) if x.ndim == 0 else x
-
-
-@lru_cache
-def _closed_form_32vol_solver(lam: float, beta: float, h: float):
-    """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
-
-    Checks that lam, beta and h are positive finite reals (naming the one
-    that is not), that ``beta*h*lam`` does not underflow to 0 and that ``c``
-    is finite, picks the branch and holds its constants as read-only 0-d
-    float64 arrays (``solve.args``), so a call does only the array
-    arithmetic, in the order of the formula.
-    R must be a float64 array: the root converts nothing.
-    """
-    _require_positive_finite(lam=lam, beta=beta, h=h)
-    bh = beta * h
-    if not (bh * lam > 0.0):
-        raise ValueError(f"need beta*h*lam > 0, got beta*h={bh}, lam={lam}")
-    c = float((1.0 - bh) / (2.0 * bh * lam))
-    if not math.isfinite(c):
-        raise ValueError(
-            f"step size h={h} is too small for the closed-form solve: "
-            f"(1 - beta*h)/(2*beta*h*lam) overflows at beta*h*lam={bh * lam}"
-        )
-    if math.isfinite(c * c):
-        return partial(_rationalized_root, _const(bh * lam), _const(c), _const(c * c))
-    return partial(_divided_root, _const(1.0 - bh), _const(c))
-
-
-def _rationalized_root(bh_lam: np.ndarray, c: np.ndarray, c_squared: np.ndarray,
-                       R: np.ndarray) -> np.ndarray:
-    # np.sign, not np.copysign: sign(-0.0) is +0.0, so a zero root stays +0
-    a = np.abs(R) / bh_lam
-    return np.sign(R) * (a / (c + np.sqrt(c_squared + a)))
-
-
-def _divided_root(one_minus_bh: np.ndarray, c: np.ndarray, R: np.ndarray) -> np.ndarray:
-    q = 2.0 * np.abs(R) / one_minus_bh
-    return np.sign(R) * (q / (1.0 + np.sqrt(1.0 + q / c)))
 
 
 def _solve_linear(A: np.ndarray, b: np.ndarray):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from sdestep import cli
 from sdestep.cli import build_parser, main, parse_levels
 
 
@@ -342,6 +343,32 @@ def test_singular_solve_exits_three(capsys):
     ])
     assert rc == 3
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--model", "vol32"],
+    ["simulate", "--model", "vol32", "--steps", "1000000"],
+    ["residuals", "--model", "vol32"],
+    ["check-model", "--model", "vol32", "--condition", "monotonicity"],
+])
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "read-only directory"])
+def test_a_bad_out_is_rejected_by_name_before_any_work(argv, case, tmp_path, monkeypatch, capsys):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for name in ("integrate", "run_convergence_study", "estimate_residuals", "check_monotonicity"):
+        monkeypatch.setattr(cli, name, no_work)
+    out, reason = {
+        "missing directory": (tmp_path / "missing" / "x.csv", "does not exist"),
+        "a directory": (tmp_path, "is a directory"),
+        "read-only directory": (tmp_path / "x.csv", "is not writable"),
+    }[case]
+    if case == "read-only directory":
+        # stands for a directory without write permission, which a root process still writes
+        monkeypatch.setattr(cli.os, "access", lambda *_args, **_kwargs: False)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {str(out)!r}" in err and reason in err
 
 
 def test_argparse_rejections_exit_two():

@@ -1,11 +1,13 @@
 """Tests for the two benchmark models and the structural-condition checkers."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sdestep import make_model
+from sdestep import make_model, models, schemes
 from sdestep.models import (
     MODEL_DEFAULTS,
     ThreeHalvesVol,
@@ -209,6 +211,26 @@ def test_toy2d_whole_array_kernels_keep_the_componentwise_bits(lam, sigma):
             assert_same_bits(params.drift(x), f)
             assert_same_bits(params.diffusion(x), g)
             assert_same_bits(params.drift_jacobian(x), jf)
+
+
+def test_the_vol32_closed_form_lives_in_models_which_imports_only_core():
+    tree = ast.parse(Path(models.__file__).read_text(encoding="utf-8"))
+    package_imports = {node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert package_imports == {"core"}
+    tree = ast.parse(Path(schemes.__file__).read_text(encoding="utf-8"))
+    names = set(schemes.__all__)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    assert "_Stepper" in names
+    assert [name for name in names if "32vol" in name] == []
 
 
 # ------------------------------------------------------ factory validation

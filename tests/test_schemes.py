@@ -32,8 +32,8 @@ from sdestep import (
 )
 from sdestep import schemes
 from sdestep.brownian import IncrementTable
+from sdestep.models import _closed_form_32vol_solver
 from sdestep.schemes import (
-    _closed_form_32vol_solver,
     _noise_product,
     _rhs_form,
     _solve_core,
