@@ -123,6 +123,8 @@ def _check_out(out: str | None) -> None:
     """Reject an ``--out`` that :func:`_emit` could not write, before any work is done."""
     if out is None or out == "-":
         return
+    if not out:
+        raise ValueError(f"--out {out!r} is empty")
     if os.path.isdir(out):
         raise ValueError(f"--out {out!r} is a directory")
     folder = os.path.dirname(out) or "."

@@ -14,10 +14,10 @@ Two model families drive the numerical experiments:
     and a symmetric coupling matrix A whose eigenvalues are 1 and lam.  The
     parameter lam controls stiffness; implicit steps are solved by Newton.
 
-The module also provides samplers that probe the three structural
-inequalities (monotonicity, coercivity, local Lipschitz drift) on random
-and deterministic point sets and report any violations found.  It imports
-only :mod:`core`: the steppers reach a model through its ``SdeModel``.
+The checkers probe the three structural inequalities (monotonicity,
+coercivity, local Lipschitz drift) on one sampler's states, a lattice of
+2m+1 points beyond the plane plus seeded draws, and report violations.
+It imports only :mod:`core`: the steppers reach a model via ``SdeModel``.
 """
 
 from __future__ import annotations
@@ -329,34 +329,29 @@ class ConditionReport:
         return self.violation_count == 0
 
 
-def _grid_points(box: float, state_dim: int) -> np.ndarray:
-    """Deterministic coarse lattice covering [-box, box]^m (always contains 0)."""
-    per_axis = 81 if state_dim == 1 else 13
-    axis = np.linspace(-box, box, per_axis)
-    if state_dim == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * state_dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def _sample_states(box: float, state_dim: int, seed: int, **count: int) -> list:
+    """The states a checker scans: a lattice in [-box, box]^m, then seeded uniform draws.
 
-
-def _pair_sets(box: float, state_dim: int, n_pairs: int, seed: int):
-    """Deterministic grid pairs first, then seeded uniform pairs."""
-    pts = _grid_points(box, state_dim)
-    n = pts.shape[0]
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    x1 = pts[ii.ravel()]
-    x2 = pts[jj.ravel()]
+    ``count`` is one keyword, ``n_points`` (returns ``[x]``) or ``n_pairs``
+    (returns ``[x1, x2]``: every ordered pair of lattice points, then the x1
+    draws, then the x2 draws).  The lattice always contains 0: 81 points on
+    a line, 13 x 13 in the plane, beyond that 0 and +-box on each axis.
+    """
+    _require_positive_finite(box=box)
+    _require_count(0, **count, seed=seed)
+    _require_count(1, state_dim=state_dim)
+    ((name, n),) = count.items()
+    if state_dim > 2:
+        lattice = np.concatenate([np.zeros((1, state_dim)), np.diag(np.full(state_dim, -box)),
+                                  np.diag(np.full(state_dim, box))])
+    else:
+        axis = np.linspace(-box, box, 81 if state_dim == 1 else 13)
+        grids = np.meshgrid(*([axis] * state_dim), indexing="ij")
+        lattice = np.stack([g.ravel() for g in grids], axis=-1)
+    k = lattice.shape[0]
+    sets = [np.repeat(lattice, k, 0), np.tile(lattice, (k, 1))] if name == "n_pairs" else [lattice]
     rng = np.random.default_rng(seed)
-    r1 = rng.uniform(-box, box, size=(n_pairs, state_dim))
-    r2 = rng.uniform(-box, box, size=(n_pairs, state_dim))
-    return np.concatenate([x1, r1]), np.concatenate([x2, r2])
-
-
-def _point_set(box: float, state_dim: int, n_points: int, seed: int):
-    pts = _grid_points(box, state_dim)
-    rng = np.random.default_rng(seed)
-    rand = rng.uniform(-box, box, size=(n_points, state_dim))
-    return np.concatenate([pts, rand])
+    return [np.concatenate([s, rng.uniform(-box, box, size=(n, state_dim))]) for s in sets]
 
 
 def _build_report(condition: str, x1, x2, lhs, rhs) -> ConditionReport:
@@ -404,12 +399,10 @@ def check_monotonicity(
     convergent scheme for eta > 1/2, so weaker weights are rejected here
     even though the formula itself would evaluate fine.
     """
-    _require_positive_finite(L=L, box=box, eta=eta)
-    _require_count(0, n_pairs=n_pairs, seed=seed)
-    _require_count(1, state_dim=state_dim)
+    _require_positive_finite(L=L, eta=eta)
+    x1, x2 = _sample_states(box, state_dim, seed, n_pairs=n_pairs)
     if not (eta > 0.5):
         raise ValueError(f"monotonicity weight eta must exceed 1/2, got {eta}")
-    x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
     df = f(x1) - f(x2)
     dx = x1 - x2
     dg = g(x1) - g(x2)
@@ -435,11 +428,9 @@ def check_coercivity(
 
     over the deterministic lattice plus ``n_points`` seeded uniform states.
     """
-    _require_positive_finite(L=L, box=box)
+    _require_positive_finite(L=L)
     _require_growth_exponent(q)
-    _require_count(0, n_points=n_points, seed=seed)
-    _require_count(1, state_dim=state_dim)
-    x = _point_set(box, state_dim, n_points, seed)
+    (x,) = _sample_states(box, state_dim, seed, n_points=n_points)
     fx = f(x)
     gx = g(x)
     weight = 0.5 * (4.0 * q - 3.0)
@@ -462,11 +453,9 @@ def check_local_lipschitz_f(
 
         |f(x1) - f(x2)|  <=  L (1 + |x1|^{q-1} + |x2|^{q-1}) |x1 - x2|.
     """
-    _require_positive_finite(L=L, box=box)
+    _require_positive_finite(L=L)
     _require_growth_exponent(q)
-    _require_count(0, n_pairs=n_pairs, seed=seed)
-    _require_count(1, state_dim=state_dim)
-    x1, x2 = _pair_sets(box, state_dim, n_pairs, seed)
+    x1, x2 = _sample_states(box, state_dim, seed, n_pairs=n_pairs)
     df = f(x1) - f(x2)
     dx = x1 - x2
     norm1 = np.sqrt(np.sum(x1 * x1, axis=-1))

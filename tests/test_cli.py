@@ -351,7 +351,7 @@ def test_singular_solve_exits_three(capsys):
     ["residuals", "--model", "vol32"],
     ["check-model", "--model", "vol32", "--condition", "monotonicity"],
 ])
-@pytest.mark.parametrize("case", ["missing directory", "a directory", "read-only directory"])
+@pytest.mark.parametrize("case", ["missing directory", "a directory", "read-only directory", "empty"])
 def test_a_bad_out_is_rejected_by_name_before_any_work(argv, case, tmp_path, monkeypatch, capsys):
     def no_work(*_args, **_kwargs):
         raise AssertionError("the command ran before its --out was checked")
@@ -362,6 +362,7 @@ def test_a_bad_out_is_rejected_by_name_before_any_work(argv, case, tmp_path, mon
         "missing directory": (tmp_path / "missing" / "x.csv", "does not exist"),
         "a directory": (tmp_path, "is a directory"),
         "read-only directory": (tmp_path / "x.csv", "is not writable"),
+        "empty": ("", "is empty"),
     }[case]
     if case == "read-only directory":
         # stands for a directory without write permission, which a root process still writes

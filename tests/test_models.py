@@ -441,6 +441,51 @@ def test_checkers_name_a_bad_state_dim_or_seed(name, value, message):
         assert check(**{name: np.int64(1)}).pairs_tested > 0  # numpy integers pass
 
 
+@pytest.mark.parametrize("box,n,seed", [(10.0, 0, 0), (10.0, 1_000, 3), (2.5, 37, 11)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_sampler_keeps_the_lattice_and_draws_of_one_and_two_dimensions(m, box, n, seed):
+    # the state sets every m = 1 and m = 2 report was computed from, rebuilt inline
+    axis = np.linspace(-box, box, 81 if m == 1 else 13)
+    lattice = np.stack([g.ravel() for g in np.meshgrid(*[axis] * m, indexing="ij")], axis=-1)
+    ii, jj = np.meshgrid(np.arange(len(lattice)), np.arange(len(lattice)), indexing="ij")
+    rng = np.random.default_rng(seed)
+    want_x = np.concatenate([lattice, rng.uniform(-box, box, (n, m))])
+    rng = np.random.default_rng(seed)
+    want_x1 = np.concatenate([lattice[ii.ravel()], rng.uniform(-box, box, (n, m))])
+    want_x2 = np.concatenate([lattice[jj.ravel()], rng.uniform(-box, box, (n, m))])
+
+    (x,) = models._sample_states(box, m, seed, n_points=n)
+    x1, x2 = models._sample_states(box, m, seed, n_pairs=n)
+    for got, want in ((x, want_x), (x1, want_x1), (x2, want_x2)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 8, 16])
+def test_checkers_run_at_any_state_dimension_on_a_bounded_lattice(m):
+    # beyond the plane the lattice is 0 and +-box on each axis: 2m+1 points, (2m+1)^2 pairs
+    def f(x):
+        return -x
+
+    def g(x):
+        return 0.1 * x[..., None] * np.eye(x.shape[-1])
+
+    points = 2 * m + 1  # 7 at m = 3
+    lattice = check_coercivity(f, g, L=1.0, q=1.0, n_points=0, box=2.0, state_dim=m)
+    assert lattice.pairs_tested == points
+    reports = (
+        check_monotonicity(f, g, eta=1.0, L=1.0, n_pairs=1_000, state_dim=m),
+        check_coercivity(f, g, L=1.0, q=1.0, n_points=1_000, state_dim=m),
+        check_local_lipschitz_f(f, L=1.0, q=1.0, n_pairs=1_000, state_dim=m),
+    )
+    assert [rep.pairs_tested for rep in reports] == [points**2 + 1_000, points + 1_000,
+                                                     points**2 + 1_000]
+    for rep in reports:
+        assert rep.ok and rep.max_slack >= 0.0, rep.condition
+    (x,) = models._sample_states(2.0, m, 0, n_points=0)
+    want = np.concatenate([np.zeros((1, m)), -2.0 * np.eye(m), 2.0 * np.eye(m)])
+    assert sorted(map(tuple, x)) == sorted(map(tuple, want))
+
+
 def test_report_slack_sign_tracks_the_verdict():
     _, model = make_model("vol32", 4.0, 1.0)
     for rep in (
