@@ -15,6 +15,7 @@ Newton linearization.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -32,8 +33,7 @@ from .harness import (
 )
 from .models import MODEL_DEFAULTS, make_model
 from .models import check_coercivity, check_local_lipschitz_f, check_monotonicity
-from .schemes import _SECOND_INITS, _SOLVER_MODES
-from .schemes import ImplicitSolverConfig, SolverSingularError, integrate
+from .schemes import _SECOND_INITS, ImplicitSolverConfig, SolverSingularError, integrate
 
 _LEVELS_PATTERN = re.compile(r"^(\d+)x(\d+)\^(\d+)\.\.(\d+)$")
 _MAX_LEVEL = 2**63 - 1
@@ -80,7 +80,7 @@ def _add_model_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=_SOLVER_MODES, default="auto")
+    p.add_argument("--solver", choices=("auto", "closed_form", "newton"), default="auto")
     p.add_argument("--newton-iters", type=int, default=5)
     p.add_argument("--second-init", choices=_SECOND_INITS, default="bem",
                    help="how multistep schemes obtain their second starting value")
@@ -103,12 +103,15 @@ def _resolve_model(args):
     return params, model, tuple(float(v) for v in x0)
 
 
-def _solver_config(args, force_step: bool = False) -> ImplicitSolverConfig:
-    return ImplicitSolverConfig(
-        mode=args.solver,
-        newton_iterations=args.newton_iters,
-        enforce_step_bound=not force_step,
-    )
+def _solver(args, model, force_step: bool = False) -> tuple:
+    """``(model, config)`` as the solver options ask: ``--solver newton`` drops the
+    model's closed form, ``closed_form`` needs one and ``auto`` keeps the model."""
+    if args.solver == "newton":
+        model = dataclasses.replace(model, closed_form_implicit=None)
+    elif args.solver == "closed_form" and model.closed_form_implicit is None:
+        raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
+    return model, ImplicitSolverConfig(newton_iterations=args.newton_iters,
+                                       enforce_step_bound=not force_step)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,6 +139,7 @@ def _check_out(out: str | None) -> None:
 
 def _study_config(args, **fields) -> ExperimentConfig:
     _params, model, x0 = _resolve_model(args)
+    model, solver = _solver(args, model)
     return ExperimentConfig(
         model=model,
         x0=x0,
@@ -146,7 +150,7 @@ def _study_config(args, **fields) -> ExperimentConfig:
         base_seed=args.seed,
         threads=args.threads,
         second_init=args.second_init,
-        solver=_solver_config(args),
+        solver=solver,
         reference_scheme=args.reference,
         batch_size=args.batch_size,
         **fields,
@@ -163,10 +167,11 @@ def _cmd_simulate(args) -> int:
     _params, model, x0 = _resolve_model(args)
     grid = TimeGrid(T=args.horizon, N=args.steps)
     table = generate_increments(grid, model.noise_dim, SeedSpec(args.seed, 0))
+    model, solver = _solver(args, model, args.force_step)
     traj = integrate(
         model,
         SCHEME_COEFFS[args.scheme],
-        _solver_config(args, force_step=args.force_step),
+        solver,
         grid,
         table,
         np.asarray(x0),

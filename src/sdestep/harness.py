@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .brownian import SeedSpec, _coarse_chunks, coarsen, generate_increments
+from .brownian import SeedSpec, _coarse_chunks, generate_increments
 from .core import (
     BACKWARD_EULER,
     BDF2,
@@ -159,8 +159,6 @@ class ExperimentConfig:
         _require_count(0, base_seed=self.base_seed)
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly ascending")
-        if self.ref_steps < max(self.levels):
-            raise ValueError("ref_steps must be at least the finest level")
         for n in self.levels:
             if self.ref_steps % n != 0:
                 raise ValueError(f"ref_steps={self.ref_steps} not divisible by level N={n}")
@@ -222,7 +220,8 @@ def _masked_sums(*squares: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
 
 def _kahan_merge(partials: Sequence[dict]) -> dict:
     """Kahan-merge ``{key: (sums, valid)}`` partials in list order (batch order)
-    into ``{key: (totals, valid)}``; the result depends only on that order."""
+    into ``{key: (totals, valid)}``; the result depends only on that order.  A
+    total that overflows reads inf (or NaN), silently, like the sums it merges."""
     merged = {}
     for part in partials:
         for key, (sums, valid) in part.items():
@@ -230,11 +229,12 @@ def _kahan_merge(partials: Sequence[dict]) -> dict:
                 zeros = [np.zeros_like(v) for v in sums]
                 merged[key] = (zeros, [z.copy() for z in zeros], 0)
             totals, comps, count = merged[key]
-            for total, comp, value in zip(totals, comps, sums):
-                y = value - comp
-                t = total + y
-                comp[:] = (t - total) - y
-                total[:] = t
+            with np.errstate(over="ignore", invalid="ignore"):
+                for total, comp, value in zip(totals, comps, sums):
+                    y = value - comp
+                    t = total + y
+                    comp[:] = (t - total) - y
+                    total[:] = t
             merged[key] = (totals, comps, count + valid)
     return {key: (tuple(totals), count) for key, (totals, _comps, count) in merged.items()}
 
@@ -256,8 +256,9 @@ def strong_error(
 
     ``references[i]`` must be the fine-grid reference of sample index i
     (same base seed); the sample's noise is regenerated here and coarsened
-    onto the level grid, so scheme and reference see the same Brownian
-    path.  All samples are stepped together as one batch, so a sample
+    onto the level grid by the study's own chunked draw
+    (:func:`brownian._coarse_chunks`), so scheme and reference see the same
+    Brownian path.  All samples are stepped together as one batch, so a sample
     whose Newton linearization turns singular counts as exploded, as in
     the study.  Each sample is one partial of the shared reduction, merged
     in sample order.  Returns ``(error, exploded_count)``; the error is NaN
@@ -274,12 +275,9 @@ def strong_error(
     if not references:
         return float("nan"), 0
     factor = config.ref_steps // n_steps
-    d = config.model.noise_dim
-    increments = np.stack([
-        coarsen(generate_increments(config.fine_grid, d, SeedSpec(config.base_seed, idx)),
-                factor).increments
-        for idx in range(len(references))
-    ], axis=1)
+    gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(len(references))]
+    increments = np.concatenate([sums[factor] for _start, _fine, sums in _coarse_chunks(
+        gens, config.fine_grid.h, config.ref_steps, config.model.noise_dim, (factor,))])
     ref_states = np.stack([ref.states[::factor] for ref in references], axis=1)
     _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n_steps).h)
     devsq = _level_deviations(config, scheme, {n_steps: increments}, {n_steps: ref_states})[n_steps]

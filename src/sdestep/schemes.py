@@ -9,12 +9,13 @@ where R aggregates everything already known (old states, explicit drift
 terms, noise terms).  For monotone drifts this equation has a unique
 solution whenever ``h * beta * L < 1``.  Every implicit solve checks that
 bound once, when it is set up (:func:`_solve_core`), for each ``beta`` a
-run will use.  The set-up returns ``solve(R)``, a function of R alone: the
-model's closed form (``SdeModel.closed_form_implicit``; this module holds no
-model's code) or a fixed number of Newton iterations started from R.  A
-non-finite row of R runs through the same arithmetic and comes back
-non-finite.  A singular Newton linearization of a single state raises
-:class:`SolverSingularError`; :func:`integrate` attaches the failing step.
+run will use.  The set-up returns ``solve(R)``, a function of R alone that
+the model picks: its closed form (``SdeModel.closed_form_implicit``; this
+module holds no model's code) when it has one, else a fixed number of
+Newton iterations started from R.  A non-finite row of R runs through the
+same arithmetic and comes back non-finite.  A singular Newton linearization
+of a single state raises :class:`SolverSingularError`; :func:`integrate`
+attaches the failing step.
 
 All steppers are vectorized over leading axes: states may be ``(m,)`` or
 ``(B, m)`` and keep that shape, which is what makes the Monte Carlo
@@ -47,8 +48,7 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-14
-# how ImplicitSolverConfig may solve, and how a multistep scheme may obtain its starting values
-_SOLVER_MODES = ("auto", "closed_form", "newton")
+# how a multistep scheme may obtain its starting values
 _SECOND_INITS = ("bem", "copy")
 
 
@@ -72,15 +72,14 @@ class SolverSingularError(RuntimeError):
 class ImplicitSolverConfig:
     """How to solve the per-step root problem x - h*beta*f(x) = R.
 
-    mode
-        "closed_form" uses the model's exact solve (a model without one is
-        a configuration error), "newton" runs the damped-free Newton
-        iteration, "auto" (default) picks closed_form when the model
-        provides one and newton otherwise.  Newton always starts from R
-        itself, the Euler-style predictor already in hand.
+    Which solve runs is the model's: its ``closed_form_implicit`` when it
+    has one, the damped-free Newton iteration otherwise (replace that field
+    with None to run Newton on a model with a closed form).
+
     newton_iterations
-        Exact number of Newton updates; there is no early exit, so every
-        row of a batch ends where solving it alone would.
+        Exact number of Newton updates, started from R itself, the
+        Euler-style predictor already in hand; there is no early exit, so
+        every row of a batch ends where solving it alone would.
     enforce_step_bound
         The one switch of the well-posedness bound h*beta*L < 1, checked
         for every implicit solve: the recursion's, the drift-implicit
@@ -90,13 +89,10 @@ class ImplicitSolverConfig:
         exists for deliberate what-happens-if runs, not production.
     """
 
-    mode: str = "auto"
     newton_iterations: int = 5
     enforce_step_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in _SOLVER_MODES:
-            raise ValueError(f"unknown solver mode {self.mode!r}")
         _require_count(1, newton_iterations=self.newton_iterations)
 
 
@@ -240,11 +236,11 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
     a state of ``shape``, ``(m,)`` or ``(B, m)``; a single state or a plain
     batch is one block.  Raises for ``beta <= 0``, a step size that is not
     a positive finite real, a violated step bound h*beta*L < 1 (unless
-    ``cfg.enforce_step_bound`` is off) and a solver mode the model cannot
-    serve.  This is the only check of the step bound.
+    ``cfg.enforce_step_bound`` is off) and a model with neither a closed
+    form nor a Jacobian.  This is the only check of the step bound.
 
     ``solve(R)`` takes R of ``shape`` or its rows of a prefix of whole
-    blocks.  The closed form is settled here, one
+    blocks.  A model's closed form, when it has one, is settled here, one
     ``closed_form_implicit(beta, h)`` call per block, and each settled solve
     runs on its block's rows (one block is that solve itself); Newton
     (:func:`_newton_solve`) runs once over all rows, with beta*h as per-row
@@ -263,13 +259,7 @@ def _solve_core(model: SdeModel, beta: float, h: tuple, cfg: ImplicitSolverConfi
                 f"h*beta*L = {step * beta * model.L} outside (0, 1); the implicit step is not"
                 " guaranteed well-posed (turn off enforce_step_bound to run anyway)"
             )
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "closed_form" if model.closed_form_implicit is not None else "newton"
-    if mode == "closed_form" and model.closed_form_implicit is None:
-        raise ValueError("solver mode 'closed_form' needs a model with a closed-form implicit solve")
-
-    if mode == "closed_form":
+    if model.closed_form_implicit is not None:
         solves = tuple(model.closed_form_implicit(beta, step) for step in h)
         if len(solves) == 1:
             return solves[0]
@@ -417,30 +407,25 @@ def step_lmm(
     cfg: ImplicitSolverConfig,
     coeffs: SchemeCoefficients,
     state_history,
-    drift_history,
     increment_history,
     h: float,
 ):
     """One step of a general k-step recursion given its coefficient tuples.
 
     Histories are ordered oldest first and have length k:
-    ``state_history[i] = U^{j-k+i}``, ``drift_history[i] = f(state_history[i])``,
-    ``increment_history[i] = dW^{j-k+1+i}`` (so the newest increment pairs with
-    the newest old state).  Returns ``(x_next, f(x_next))``.  The stepper
-    (:func:`_step`) evaluates f on the old states itself, so ``drift_history``
-    is checked for its length only; by its contract the bits do not change.
+    ``state_history[i] = U^{j-k+i}`` and ``increment_history[i] = dW^{j-k+1+i}``
+    (so the newest increment pairs with the newest old state).  Returns
+    ``x_next``; the stepper (:func:`_step`) evaluates f on the old states itself.
     """
     k = coeffs.k
-    if not (len(state_history) == len(drift_history) == len(increment_history) == k):
+    if not (len(state_history) == len(increment_history) == k):
         raise ValueError(
             f"histories must all have length k={k}, got "
-            f"{len(state_history)}/{len(drift_history)}/{len(increment_history)}"
+            f"{len(state_history)}/{len(increment_history)}"
         )
     names = [f"{history}[{i}]" for history in ("state_history", "increment_history")
              for i in range(k)]
-    x_next = _step(model, cfg, coeffs, h, state_history, increment_history, names)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return x_next, model.drift(x_next)
+    return _step(model, cfg, coeffs, h, state_history, increment_history, names)
 
 
 class _Stepper:

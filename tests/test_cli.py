@@ -4,6 +4,7 @@ import hashlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -300,6 +301,41 @@ def test_closed_form_solver_without_a_closed_form_exits_two(capsys):
     assert rc == 2
     assert captured.out == ""
     assert "closed-form" in captured.err
+
+
+@pytest.mark.parametrize("solver", ["auto", "closed_form", "newton"])
+def test_the_solver_flag_maps_onto_the_model_the_stepper_gets(solver, monkeypatch, capsys):
+    # on vol32 the three write the same CSVs: only the model handed on tells them apart
+    built, given = [], []
+    make_model, integrate, study = cli.make_model, cli.integrate, cli.run_convergence_study
+
+    def recording_make_model(*args, **kwargs):
+        params, model = make_model(*args, **kwargs)
+        built.append(model)
+        return params, model
+
+    def recording_integrate(model, *args, **kwargs):
+        given.append(model)
+        return integrate(model, *args, **kwargs)
+
+    def recording_study(config):
+        given.append(config.model)
+        return study(config)
+
+    monkeypatch.setattr(cli, "make_model", recording_make_model)
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    monkeypatch.setattr(cli, "run_convergence_study", recording_study)
+    assert main(["simulate", "--model", "vol32", "--steps", "40", "--solver", solver]) == 0
+    assert main(["converge", "--model", "vol32", "--samples", "4", "--levels", "25,50",
+                 "--ref-steps", "100", "--solver", solver]) == 0
+    capsys.readouterr()
+    assert len(built) == len(given) == 2
+    for model, got in zip(built, given):
+        if solver == "newton":
+            assert model.closed_form_implicit is not None
+            assert got == replace(model, closed_form_implicit=None)
+        else:
+            assert got is model
 
 
 @pytest.mark.parametrize("solver", ["auto", "newton"])

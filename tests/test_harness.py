@@ -109,6 +109,7 @@ def test_experiment_config_validation():
         dict(base, levels=()),
         dict(base, levels=(25, 30)),       # 30 does not divide 400
         dict(base, ref_steps=75),
+        dict(base, ref_steps=25),          # coarser than the finest level: 50 does not divide 25
         dict(base, schemes=("bem", "rk4")),
         dict(base, schemes=()),
         dict(base, x0=(1.0, 2.0)),
@@ -531,6 +532,25 @@ def test_strong_error_counts_a_singular_newton_row_as_exploded_like_the_study():
     err, exploded = strong_error(cfg, "bem", 25, refs)
     assert np.isnan(err)
     assert exploded == cfg.samples == run_convergence_study(cfg).cell(25, "bem").exploded
+
+
+def test_a_cell_whose_squares_overflow_in_the_merge_reads_inf_silently():
+    # each sample's last squared deviation is finite, about 1.4e308, and two of them sum past it
+    lam = (1.4563e6 + 1) * 25
+    model = SdeModel(1, 1, drift=lambda x: -lam * x, diffusion=lambda x: np.zeros(x.shape + (1,)),
+                     drift_jacobian=lambda x: np.full(x.shape + (1,), -lam))
+    base = dict(model=model, x0=(1.0,), schemes=("eulm",), levels=(25,), samples=2,
+                ref_steps=25, reference_scheme="bem")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch_size in (1, 2):
+            table = run_convergence_study(ExperimentConfig(**base, batch_size=batch_size))
+            assert table.cell(25, "eulm").error == np.inf
+            assert table.render_csv().splitlines()[1].split(",")[2] == "-"
+        cfg = ExperimentConfig(**base)
+        refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
+        shifted = [GridFunction(grid=ref.grid, states=ref.states + 1e154) for ref in refs]
+        assert strong_error(cfg, "bem", 25, shifted) == (np.inf, 0)
 
 
 def test_strong_error_rejects_empty_levels_and_keeps_empty_references():

@@ -2,7 +2,7 @@
 
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,8 @@ from sdestep.schemes import (
 
 VOL32_PARAMS, VOL32 = make_model("vol32", 4.0, 1.0)
 TOY_PARAMS, TOY = make_model("toy2d", 96.0, 0.47)
+# the model picks its solve: without its closed form, vol32 runs Newton
+VOL32_NEWTON = replace(VOL32, closed_form_implicit=None)
 SPD_A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
 # f(x) = -A x with A symmetric positive definite (so x @ A is A x row by row), noise 0.5*I
 SPD3 = SdeModel(
@@ -204,11 +206,12 @@ def test_closed_form_32vol_validation_and_array_shapes():
 @pytest.mark.parametrize("h", [1e-156, 1e-200])
 def test_closed_form_32vol_where_c_squared_overflows_agrees_with_newton(h):
     # c = (1 - beta*h) / (2*beta*h*lam) is finite but c*c is not
-    newton = ImplicitSolverConfig(mode="newton")
+    newton = ImplicitSolverConfig()
     for R in (1.0, -2.5, 1e-300, 0.3, 1e10):
         x = closed_form_32vol(4.0, 1.0, 1.0, h, R)
         assert isinstance(x, float)
-        assert x == pytest.approx(solve_implicit(VOL32, 1.0, h, np.array([R]), newton)[0], rel=1e-15)
+        assert x == pytest.approx(solve_implicit(VOL32_NEWTON, 1.0, h, np.array([R]), newton)[0],
+                                  rel=1e-15)
     R = np.array([[1.0], [-2.5], [0.0]])
     assert np.array_equal(closed_form_32vol(4.0, 1.0, 1.0, h, R), R)
 
@@ -320,30 +323,30 @@ def test_solve_implicit_enforces_the_step_bound():
     assert residual(VOL32, 1.0, 1.2, x, np.array([1.0])) <= 1e-12 * 2.0
 
 
-@pytest.mark.parametrize("mode", ["closed_form", "newton"])
+@pytest.mark.parametrize("model", [VOL32, VOL32_NEWTON], ids=["closed_form", "newton"])
 @pytest.mark.parametrize("shape", [(), (3, 2), (2,), (4, 1, 1)])
-def test_solve_implicit_rejects_an_rhs_of_the_wrong_shape(mode, shape):
+def test_solve_implicit_rejects_an_rhs_of_the_wrong_shape(model, shape):
     # a 0-d R made Newton fail on len(); a (3, 2) R came back from the m=1 closed form as (3, 2)
     message = rf"^R must have shape \(1,\) or \(B, 1\), got {re.escape(str(shape))}$"
     with pytest.raises(ValueError, match=message):
-        solve_implicit(VOL32, 1.0, 0.01, np.ones(shape), ImplicitSolverConfig(mode=mode))
+        solve_implicit(model, 1.0, 0.01, np.ones(shape), ImplicitSolverConfig())
 
 
 @pytest.mark.parametrize("R", [1.0, [1.0, 2.0, 3.0], [[1.0], [2.0]]])
 def test_solve_implicit_rejects_an_rhs_of_the_wrong_shape_for_newton_models(R):
     with pytest.raises(ValueError, match=r"^R must have shape \(2,\) or \(B, 2\), got "):
-        solve_implicit(TOY, 1.0, 0.01, R, ImplicitSolverConfig(mode="newton"))
+        solve_implicit(TOY, 1.0, 0.01, R, ImplicitSolverConfig())
 
 
 def test_solve_implicit_fixed_point_at_zero():
-    for mode in ("closed_form", "newton"):
-        x = solve_implicit(VOL32, 1.0, 0.01, np.array([0.0]), ImplicitSolverConfig(mode=mode))
+    for model in (VOL32, VOL32_NEWTON):  # the closed form, then Newton
+        x = solve_implicit(model, 1.0, 0.01, np.array([0.0]), ImplicitSolverConfig())
         assert x == np.array([0.0])
 
 
 def test_newton_is_exact_for_linear_drift_in_one_iteration():
-    model = linear_model(-2.0)
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
+    model = replace(linear_model(-2.0), closed_form_implicit=None)
+    cfg = ImplicitSolverConfig(newton_iterations=1)
     R = np.array([3.7])
     x = solve_implicit(model, 0.5, 0.3, R, cfg)
     expected = R / (1.0 - 0.3 * 0.5 * (-2.0))
@@ -352,32 +355,33 @@ def test_newton_is_exact_for_linear_drift_in_one_iteration():
 
 
 def test_closed_form_and_newton_agree_on_the_32vol_model():
-    cfg_newton = ImplicitSolverConfig(mode="newton", newton_iterations=10)
-    cfg_closed = ImplicitSolverConfig(mode="closed_form")
+    cfg_newton = ImplicitSolverConfig(newton_iterations=10)
+    cfg_closed = ImplicitSolverConfig()
     rng = np.random.default_rng(42)
     for _ in range(50):
         R = np.array([rng.uniform(-5.0, 5.0)])
         h = rng.uniform(1e-3, 0.5)
         a = solve_implicit(VOL32, 1.0, h, R, cfg_closed)
-        b = solve_implicit(VOL32, 1.0, h, R, cfg_newton)
+        b = solve_implicit(VOL32_NEWTON, 1.0, h, R, cfg_newton)
         assert np.all(np.abs(a - b) <= 1e-10 * (1.0 + np.abs(R)))
 
 
 def test_solver_mode_configuration_errors():
     no_jac = replace(VOL32, drift_jacobian=None, closed_form_implicit=None)
     with pytest.raises(ValueError):
-        solve_implicit(no_jac, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="newton"))
+        solve_implicit(no_jac, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig())
     no_closed = replace(VOL32, closed_form_implicit=None)
-    # "closed_form" is strict: a model without a closed form is a configuration error ...
-    with pytest.raises(ValueError, match="closed-form"):
-        solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="closed_form"))
-    # ... while "auto" picks Newton for it
-    x = solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig(mode="auto"))
+    # a model without a closed form gets Newton
+    x = solve_implicit(no_closed, 1.0, 0.01, np.array([1.0]), ImplicitSolverConfig())
     assert residual(no_closed, 1.0, 0.01, x, np.array([1.0])) <= 1e-10 * 2.0
     with pytest.raises(ValueError):
-        ImplicitSolverConfig(mode="bogus")
-    with pytest.raises(ValueError):
         ImplicitSolverConfig(newton_iterations=0)
+
+
+def test_solver_config_holds_only_the_newton_count_and_the_step_bound_switch():
+    # which solve runs is the model's, read off its closed_form_implicit
+    names = [field.name for field in fields(ImplicitSolverConfig)]
+    assert names == ["newton_iterations", "enforce_step_bound"]
 
 
 def test_newton_iterations_must_be_an_integer():
@@ -430,19 +434,19 @@ def test_two_by_two_solve_keeps_the_bits_of_the_componentwise_adjugate():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize(
-    "model, mode, h, scale",
+    "model, h, scale",
     [
-        (VOL32, "auto", 0.01, 5.0),  # the closed form
-        (VOL32, "newton", 0.01, 5.0),
-        (TOY, "newton", 0.004, 30.0),
-        (SPD3, "newton", 0.04, 3.0),
+        (VOL32, 0.01, 5.0),  # the closed form
+        (VOL32_NEWTON, 0.01, 5.0),
+        (TOY, 0.004, 30.0),
+        (SPD3, 0.04, 3.0),
     ],
     ids=["vol32-closed-form", "vol32-newton", "toy2d-newton", "spd3-newton"],
 )
-def test_non_finite_rhs_propagates_as_nan(model, mode, h, scale, bad):
+def test_non_finite_rhs_propagates_as_nan(model, h, scale, bad):
     # a non-finite row runs through the core's own arithmetic and comes back
     # NaN (no finite entry), and its batch-mates keep the bits they have alone
-    cfg = ImplicitSolverConfig(mode=mode)
+    cfg = ImplicitSolverConfig()
     single = solve_implicit(model, 2.0 / 3.0, h, np.full(model.state_dim, bad), cfg)
     assert np.isnan(single).all()
 
@@ -456,19 +460,19 @@ def test_non_finite_rhs_propagates_as_nan(model, mode, h, scale, bad):
 
 
 @pytest.mark.parametrize(
-    "model,mode,R",
+    "model,R",
     [
-        (VOL32, "auto", [[np.inf], [1.0]]),  # the closed form
-        (VOL32, "newton", [[np.inf], [1.0]]),
-        (TOY, "newton", [[np.inf, 1.0], [1.0, -2.0]]),
+        (VOL32, [[np.inf], [1.0]]),  # the closed form
+        (VOL32_NEWTON, [[np.inf], [1.0]]),
+        (TOY, [[np.inf, 1.0], [1.0, -2.0]]),
     ],
     ids=["vol32-closed-form", "vol32-newton", "toy2d-newton"],
 )
-def test_solve_implicit_is_silent_on_a_non_finite_row(model, mode, R):
+def test_solve_implicit_is_silent_on_a_non_finite_row(model, R):
     # integrate and the study engine run the same arithmetic under np.errstate
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = solve_implicit(model, 2.0 / 3.0, 0.004, np.array(R), ImplicitSolverConfig(mode=mode))
+        out = solve_implicit(model, 2.0 / 3.0, 0.004, np.array(R), ImplicitSolverConfig())
     assert not np.isfinite(out[0]).any()
     assert np.isfinite(out[1]).all()
 
@@ -500,7 +504,7 @@ def fake_singular_model(h: float, beta: float, state_dim: int = 1) -> SdeModel:
 
 
 def test_singular_linearization_raises_for_single_states():
-    cfg = ImplicitSolverConfig(mode="newton")
+    cfg = ImplicitSolverConfig()
     for m in (1, 2, 3):  # division, adjugate and LU
         model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
         with pytest.raises(SolverSingularError, match=r"\|det\|=") as excinfo:
@@ -510,7 +514,7 @@ def test_singular_linearization_raises_for_single_states():
 
 
 def test_singular_linearization_nans_only_the_bad_batch_rows():
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
+    cfg = ImplicitSolverConfig(newton_iterations=1)
     for m in (1, 2, 3):  # division, adjugate and LU
         model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
         batch = np.array([[0.0] * m, [2.0] * m])  # row 0 starts at the singular point
@@ -523,7 +527,7 @@ def test_singular_linearization_nans_only_the_bad_batch_rows():
 
 def test_a_bare_newton_step_raises_for_a_singular_state_and_nans_its_batch_row():
     # the bare steps solve through the stepper, not solve_implicit: the same rules hold there
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
+    cfg = ImplicitSolverConfig(newton_iterations=1)
     for m in (1, 2, 3):  # division, adjugate and LU
         model = fake_singular_model(h=0.1, beta=1.0, state_dim=m)
         with pytest.raises(SolverSingularError, match=r"\|det\|=") as excinfo:
@@ -544,16 +548,16 @@ def test_newton_runs_exactly_k_iterations_without_tolerance():
         closed_form_implicit=None,
         drift_jacobian=lambda x: (jac_calls.append(1) or VOL32.drift_jacobian(x)),
     )
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=5)
+    cfg = ImplicitSolverConfig(newton_iterations=5)
     solve_implicit(counted, 1.0, 0.01, np.array([1.0]), cfg)
     assert len(jac_calls) == 5
 
 
 def test_batched_newton_solves_each_row_as_if_alone():
     # every row gets exactly K updates, so its bits never depend on its batch-mates
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=8)
+    cfg = ImplicitSolverConfig(newton_iterations=8)
     rng = np.random.default_rng(3)
-    for model, h, scale in ((VOL32, 0.01, 5.0), (TOY, 0.004, 30.0), (SPD3, 0.04, 3.0)):
+    for model, h, scale in ((VOL32_NEWTON, 0.01, 5.0), (TOY, 0.004, 30.0), (SPD3, 0.04, 3.0)):
         model = singular_at_origin(model, h)
         R = rng.uniform(-scale, scale, size=(32, model.state_dim))
         R[0] = np.inf  # non-finite row
@@ -587,7 +591,7 @@ def test_newton_solves_a_three_dimensional_linear_model():
 
 
 def test_newton_starts_from_the_rhs():
-    cfg = ImplicitSolverConfig(mode="newton", newton_iterations=1)
+    cfg = ImplicitSolverConfig(newton_iterations=1)
     R = np.array([1.0])
 
     def one_update(x0):
@@ -596,7 +600,7 @@ def test_newton_starts_from_the_rhs():
         phi = x0 - 0.01 * f - R
         return x0 - phi / (1.0 - 0.01 * jf)
 
-    got = solve_implicit(VOL32, 1.0, 0.01, R, cfg)
+    got = solve_implicit(VOL32_NEWTON, 1.0, 0.01, R, cfg)
     assert np.allclose(got, one_update(R.copy()), rtol=0, atol=1e-16)
 
 
@@ -611,10 +615,10 @@ def newton_with_a_broadcast_identity(model, bh, iterations, R):
 
 
 @pytest.mark.parametrize("h", [(0.004,), (0.004, 0.002, 0.001)], ids=["one-block", "three-blocks"])
-@pytest.mark.parametrize("model,scale", [(VOL32, 5.0), (TOY, 30.0), (SPD3, 3.0)],
+@pytest.mark.parametrize("model,scale", [(VOL32_NEWTON, 5.0), (TOY, 30.0), (SPD3, 3.0)],
                          ids=["m1", "m2", "m3"])
 def test_newton_with_a_per_row_identity_keeps_the_broadcast_bits(model, scale, h):
-    cfg = ImplicitSolverConfig(mode="newton")
+    cfg = ImplicitSolverConfig()
     beta, block = 2.0 / 3.0, 4
     R = np.random.default_rng(21).uniform(-scale, scale, size=(block * len(h), model.state_dim))
     R[1] = np.inf
@@ -657,7 +661,7 @@ def test_bem_reduces_to_explicit_when_drift_vanishes():
         drift_jacobian=lambda x: np.zeros(x.shape + (1,)),
     )
     dW = np.array([0.37])
-    a = step_bem(still, ImplicitSolverConfig(mode="newton"), np.array([1.5]), 0.1, dW)
+    a = step_bem(still, ImplicitSolverConfig(), np.array([1.5]), 0.1, dW)
     b = step_explicit_euler(still, np.array([1.5]), 0.1, dW)
     assert np.array_equal(a, b)
 
@@ -699,19 +703,17 @@ def test_generic_stepper_matches_dedicated_steppers():
         x2 = np.array([rng.uniform(-2.0, 2.0)])
         dw1 = np.array([rng.normal() * 0.1])
         dw0 = np.array([rng.normal() * 0.1])
-        f1, f2 = VOL32.drift(x1), VOL32.drift(x2)
 
         bem_direct = step_bem(VOL32, cfg, x1, h, dw1)
-        bem_generic, f_next = step_lmm(VOL32, cfg, BACKWARD_EULER, [x1], [f1], [dw1], h)
+        bem_generic = step_lmm(VOL32, cfg, BACKWARD_EULER, [x1], [dw1], h)
         assert np.array_equal(bem_direct, bem_generic)
-        assert np.array_equal(f_next, VOL32.drift(bem_generic))
 
         eul_direct = step_explicit_euler(VOL32, x1, h, dw1)
-        eul_generic, _ = step_lmm(VOL32, cfg, EXPLICIT_EULER, [x1], [f1], [dw1], h)
+        eul_generic = step_lmm(VOL32, cfg, EXPLICIT_EULER, [x1], [dw1], h)
         assert np.array_equal(eul_direct, eul_generic)
 
         bdf_direct = step_bdf2(VOL32, cfg, x1, x2, h, dw1, dw0)
-        bdf_generic, _ = step_lmm(VOL32, cfg, BDF2, [x2, x1], [f2, f1], [dw0, dw1], h)
+        bdf_generic = step_lmm(VOL32, cfg, BDF2, [x2, x1], [dw0, dw1], h)
         assert np.array_equal(bdf_direct, bdf_generic)
 
 
@@ -766,23 +768,17 @@ def test_bare_steps_are_silent_on_a_non_finite_row_and_keep_the_others():
     cfg = ImplicitSolverConfig()
     x1, x2 = np.array([[np.inf], [1.0]]), np.array([[-np.inf], [0.5]])
     dw1, dw0 = np.array([[-0.1], [0.1]]), np.array([[0.2], [-0.3]])
-    with np.errstate(invalid="ignore", over="ignore"):
-        f1, f2 = VOL32.drift(x1), VOL32.drift(x2)
     steps = {
         "bem": lambda r: step_bem(VOL32, cfg, x1[r], 0.01, dw1[r]),
         "bdf2": lambda r: step_bdf2(VOL32, cfg, x1[r], x2[r], 0.01, dw1[r], dw0[r]),
         "eulm": lambda r: step_explicit_euler(VOL32, x1[r], 0.01, dw1[r]),
-        "lmm bdf2": lambda r: step_lmm(VOL32, cfg, BDF2, [x2[r], x1[r]], [f2[r], f1[r]],
-                                       [dw0[r], dw1[r]], 0.01),
-        "lmm eulm": lambda r: step_lmm(VOL32, cfg, EXPLICIT_EULER, [x1[r]], [f1[r]], [dw1[r]], 0.01),
+        "lmm bdf2": lambda r: step_lmm(VOL32, cfg, BDF2, [x2[r], x1[r]], [dw0[r], dw1[r]], 0.01),
+        "lmm eulm": lambda r: step_lmm(VOL32, cfg, EXPLICIT_EULER, [x1[r]], [dw1[r]], 0.01),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, step in steps.items():
             both, alone = step(slice(None)), step(slice(1, 2))
-            if name.startswith("lmm"):  # (x_next, f_next)
-                assert both[1][1:].tobytes() == alone[1].tobytes(), name
-                both, alone = both[0], alone[0]
             assert not np.isfinite(both[0]).all(), name
             assert both[1:].tobytes() == alone.tobytes(), name
 
@@ -800,9 +796,9 @@ def test_bare_steps_are_silent_on_a_non_finite_row_and_keep_the_others():
     ("dW_cur", lambda cfg: step_bdf2(VOL32, cfg, np.ones((2, 1)), np.ones((2, 1)), 0.01,
                                      np.zeros(1), np.zeros((2, 1)))),
     ("state_history[1]", lambda cfg: step_lmm(VOL32, cfg, BDF2, [np.ones((2, 1)), np.ones(1)],
-                                              [None, None], [np.zeros(1)] * 2, 0.01)),
+                                              [np.zeros(1)] * 2, 0.01)),
     ("increment_history[0]", lambda cfg: step_lmm(VOL32, cfg, BACKWARD_EULER, [np.ones(1)],
-                                                  [None], [np.zeros((4, 1))], 0.01)),
+                                                  [np.zeros((4, 1))], 0.01)),
 ])
 def test_bare_steps_name_a_mis_shaped_state_or_increment(name, step):
     # each of these once broadcast to a batch, ended in a bare IndexError or named R
@@ -822,15 +818,27 @@ def test_bare_steps_build_their_rhs_form_once_and_repeat_bitwise():
 
 def test_crank_nicolson_style_preset_hand_value():
     cn = SchemeCoefficients(k=1, alpha=(-1.0, 1.0), beta=(0.5, 0.5), gamma=(1.0,))
-    model = linear_model(-1.0)
+    model = replace(linear_model(-1.0), closed_form_implicit=None)
     x_prev = np.array([1.0])
-    x, _ = step_lmm(model, ImplicitSolverConfig(mode="newton"), cn, [x_prev], [model.drift(x_prev)], [np.zeros(1)], 0.1)
+    x = step_lmm(model, ImplicitSolverConfig(), cn, [x_prev], [np.zeros(1)], 0.1)
     assert abs(x[0] - 19.0 / 21.0) <= 1e-15
+
+
+@pytest.mark.parametrize("coeffs", [BACKWARD_EULER, BDF2, EXPLICIT_EULER], ids=["bem", "bdf2", "eulm"])
+def test_step_lmm_returns_the_next_state_that_integrate_takes(coeffs):
+    grid = TimeGrid(T=1.0, N=20)
+    inc = generate_increments(grid, 1, SeedSpec(9, 0))
+    cfg = ImplicitSolverConfig()
+    states = integrate(VOL32, coeffs, cfg, grid, inc, [1.0]).states
+    k, j = coeffs.k, 10
+    x = step_lmm(VOL32, cfg, coeffs, list(states[j - k:j]), list(inc.increments[j - k:j]), grid.h)
+    assert isinstance(x, np.ndarray) and x.shape == (1,)
+    assert x.tobytes() == states[j].tobytes()
 
 
 def test_step_lmm_rejects_mismatched_histories():
     with pytest.raises(ValueError):
-        step_lmm(VOL32, ImplicitSolverConfig(), BDF2, [np.zeros(1)], [np.zeros(1)], [np.zeros(1)], 0.01)
+        step_lmm(VOL32, ImplicitSolverConfig(), BDF2, [np.zeros(1)], [np.zeros(1)], 0.01)
 
 
 # ------------------------------------------------------------------ integrate
@@ -931,7 +939,7 @@ def test_integrate_reports_the_failing_step_on_singular_solves():
     grid = TimeGrid(T=1.0, N=10)
     inc = zero_table(grid)
     with pytest.raises(SolverSingularError) as excinfo:
-        integrate(model, BACKWARD_EULER, ImplicitSolverConfig(mode="newton"), grid, inc, [0.0], second_init="bem")
+        integrate(model, BACKWARD_EULER, ImplicitSolverConfig(), grid, inc, [0.0], second_init="bem")
     assert excinfo.value.step_index == 1
     assert "step 1" in str(excinfo.value)
 
@@ -947,7 +955,7 @@ def test_integrate_reports_the_failing_step_of_a_bdf2_newton_solve(beta, step):
     model = fake_singular_model(h=0.1, beta=beta)
     grid = TimeGrid(T=1.0, N=10)
     with pytest.raises(SolverSingularError) as excinfo:
-        integrate(model, BDF2, ImplicitSolverConfig(mode="newton"), grid, zero_table(grid), [0.0])
+        integrate(model, BDF2, ImplicitSolverConfig(), grid, zero_table(grid), [0.0])
     assert excinfo.value.step_index == step
     assert f"step {step}:" in str(excinfo.value)
 
@@ -977,11 +985,8 @@ def test_integrate_equals_chained_step_lmm_calls_bitwise(coeffs):
     states = [np.array([1.0])]
     for j in range(1, k):
         states.append(step_bem(VOL32, cfg, states[-1], grid.h, dW[j - 1]))
-    drifts = [VOL32.drift(x) for x in states]
     for j in range(k, grid.N + 1):
-        x, f = step_lmm(VOL32, cfg, coeffs, states[-k:], drifts[-k:], dW[j - k : j], grid.h)
-        states.append(x)
-        drifts.append(f)
+        states.append(step_lmm(VOL32, cfg, coeffs, states[-k:], dW[j - k : j], grid.h))
     assert np.isfinite(traj.states).all()
     assert np.array(states).tobytes() == traj.states.tobytes()
 
@@ -1001,7 +1006,7 @@ def test_bdf2_integrate_calls_the_diffusion_once_per_step_and_no_history_drift()
     model = replace(VOL32, drift=counted("drift"), diffusion=counted("diffusion"))
     grid = TimeGrid(T=1.0, N=40)
     inc = generate_increments(grid, 1, SeedSpec(2, 0))
-    integrate(model, BDF2, ImplicitSolverConfig(mode="closed_form"), grid, inc, [1.0], second_init="bem")
+    integrate(model, BDF2, ImplicitSolverConfig(), grid, inc, [1.0], second_init="bem")
     assert counts == {"drift": 0, "diffusion": grid.N}
 
 
@@ -1064,7 +1069,7 @@ def test_newton_residuals_decrease_through_the_iteration():
     inc = generate_increments(grid, 2, SeedSpec(99, 0))
     K = 5
     traj = integrate(
-        logged, BDF2, ImplicitSolverConfig(mode="newton", newton_iterations=K),
+        logged, BDF2, ImplicitSolverConfig(newton_iterations=K),
         grid, inc, [2.0, 3.0], second_init="bem",
     )
     assert len(calls) == grid.N * K
