@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .brownian import SeedSpec, generate_increments
-from .core import TimeGrid
+from .core import TimeGrid, _require_state
 from .harness import (
     _REFERENCE_SCHEMES,
     SCHEME_COEFFS,
@@ -98,9 +98,7 @@ def _add_study_arguments(p: argparse.ArgumentParser, samples: int) -> None:
 def _resolve_model(args):
     params, model = make_model(args.model, lam=args.lam, sigma=args.sigma)
     x0 = args.x0 if args.x0 is not None else MODEL_DEFAULTS[args.model]["x0"]
-    if len(x0) != model.state_dim:
-        raise ValueError(f"x0 must have {model.state_dim} components, got {len(x0)}")
-    return params, model, tuple(float(v) for v in x0)
+    return params, model, _require_state(x0, model.state_dim)
 
 
 def _solver(args, model, force_step: bool = False) -> tuple:

@@ -94,6 +94,22 @@ def _require_count(minimum: int, **counts: int) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {count}")
 
 
+def _require_state(x0, state_dim: int) -> tuple[float, ...]:
+    """``x0`` as a tuple of ``state_dim`` finite floats (a real is one component), naming x0."""
+    try:  # a complex array would convert with a warning, dropping its imaginary part
+        x = None if np.iscomplexobj(x0) else np.asarray(x0, dtype=float)
+    except (TypeError, ValueError):  # a complex, a string that is no number, a ragged list
+        x = None
+    if x is None or x.ndim > 1:
+        raise ValueError(f"x0 must be a real or a flat sequence of reals, got {x0!r}")
+    x = tuple(float(v) for v in np.atleast_1d(x))
+    if len(x) != state_dim:
+        raise ValueError(f"x0 has dimension {len(x)}, model expects {state_dim}")
+    if not all(math.isfinite(v) for v in x):
+        raise ValueError(f"x0 must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Autonomous SDE dX = f(X) dt + g(X) dW with declared structural constants.

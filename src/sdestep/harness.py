@@ -54,6 +54,7 @@ from .core import (
     _require_count,
     _require_positive_finite,
     _require_sequence,
+    _require_state,
 )
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     _SECOND_INITS,
@@ -124,24 +125,12 @@ class ExperimentConfig:
     batch_size: int = 1024
 
     def __post_init__(self) -> None:
-        try:
-            x0 = np.asarray(self.x0, dtype=float)
-        except (TypeError, ValueError):  # a complex, a string that is no number, a ragged list
-            x0 = None
-        if x0 is None or x0.ndim > 1:
-            raise ValueError(f"x0 must be a real or a flat sequence of reals, got {self.x0!r}")
-        object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(x0)))
+        object.__setattr__(self, "x0", _require_state(self.x0, self.model.state_dim))
         for name in ("schemes", "levels"):
             object.__setattr__(self, name, _require_sequence(name, getattr(self, name)))
         for n in self.levels:
             _require_count(1, levels=n)
         object.__setattr__(self, "levels", tuple(int(n) for n in self.levels))
-        if len(self.x0) != self.model.state_dim:
-            raise ValueError(
-                f"x0 has dimension {len(self.x0)}, model expects {self.model.state_dim}"
-            )
-        if not all(math.isfinite(v) for v in self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
         _require_positive_finite(horizon=self.T)
         if not self.schemes:
             raise ValueError("need at least one scheme")
@@ -221,7 +210,8 @@ def _masked_sums(*squares: np.ndarray) -> tuple[tuple[np.ndarray, ...], int]:
 def _kahan_merge(partials: Sequence[dict]) -> dict:
     """Kahan-merge ``{key: (sums, valid)}`` partials in list order (batch order)
     into ``{key: (totals, valid)}``; the result depends only on that order.  A
-    total that overflows reads inf (or NaN), silently, like the sums it merges."""
+    total that overflows reads inf, silently, like the sums it merges: its
+    compensation is reset to 0, so a later merge does not compute inf - inf."""
     merged = {}
     for part in partials:
         for key, (sums, valid) in part.items():
@@ -233,7 +223,7 @@ def _kahan_merge(partials: Sequence[dict]) -> dict:
                 for total, comp, value in zip(totals, comps, sums):
                     y = value - comp
                     t = total + y
-                    comp[:] = (t - total) - y
+                    comp[:] = np.where(np.isinf(t), 0.0, (t - total) - y)
                     total[:] = t
             merged[key] = (totals, comps, count + valid)
     return {key: (tuple(totals), count) for key, (totals, _comps, count) in merged.items()}

@@ -113,20 +113,22 @@ class ThreeHalvesVol:
         return (1.0 - 2.0 * self.lam * np.abs(x))[..., None]
 
     def closed_form_implicit(self, beta: float, h: float) -> Callable[[np.ndarray], np.ndarray]:
-        return _closed_form_32vol_solver(self.lam, beta, h)
+        return closed_form_32vol(self.lam, beta, h)
 
     def as_sde_model(self) -> SdeModel:
         return _sde_model(self, 1, 2.0, self.closed_form_implicit)
 
 
-def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
-    """Exact drift-implicit solve for the 3/2-volatility family.
+@lru_cache
+def closed_form_32vol(lam: float, beta: float, h: float):
+    """Exact drift-implicit solve ``solve(R)`` for the 3/2-volatility family.
 
-    Solves ``x - beta*h*(x - lam*x*|x|) = R`` for scalar states, where lam,
-    beta and h are positive finite reals (a ``ValueError`` names the one
-    that is not).  On each sign branch the equation is a quadratic with
-    non-negative discriminant; the root that depends continuously on R is
-    returned.  The formula is evaluated in rationalized form,
+    ``solve`` returns the root of ``x - beta*h*(x - lam*x*|x|) = R``
+    elementwise, where lam, beta and h are positive finite reals (a
+    ``ValueError`` names the one that is not).  On each sign branch the
+    equation is a quadratic with non-negative discriminant; the root that
+    depends continuously on R is returned.  The formula is evaluated in
+    rationalized form,
 
         x = sign(R) * a / (c + sqrt(c*c + a)),
         a = |R| / (beta*h*lam),  c = (1 - beta*h) / (2*beta*h*lam),
@@ -137,27 +139,12 @@ def closed_form_32vol(lam: float, sigma: float, beta: float, h: float, R):
     by ``c``: ``x = sign(R) * q / (1 + sqrt(1 + q/c))`` with
     ``q = a/c = 2|R| / (1 - beta*h)``.  A ``c`` that is itself infinite
     (beta*h*lam below about 3e-309) is a ``ValueError`` naming ``h``.
-    ``sigma`` is accepted for signature symmetry with the model family
-    but plays no role: the diffusion is handled explicitly by the schemes.
 
-    Works elementwise on arrays; scalar input yields a float.  The checks,
-    the branch and the constants are settled once per ``(lam, beta, h)``
-    (:func:`_closed_form_32vol_solver`).
-    """
-    x = _closed_form_32vol_solver(lam, beta, h)(np.asarray(R, dtype=float))
-    return float(x) if x.ndim == 0 else x
-
-
-@lru_cache
-def _closed_form_32vol_solver(lam: float, beta: float, h: float):
-    """``solve(R)`` of :func:`closed_form_32vol` for one ``(lam, beta, h)``.
-
-    Checks that lam, beta and h are positive finite reals (naming the one
-    that is not), that ``beta*h*lam`` does not underflow to 0 and that ``c``
-    is finite, picks the branch and holds its constants as read-only 0-d
-    float64 arrays (``solve.args``), so a call does only the array
-    arithmetic, in the order of the formula.
-    R must be a float64 array: the root converts nothing.
+    The checks (with one that ``beta*h*lam`` does not underflow to 0), the
+    branch and its constants (read-only 0-d float64 arrays, ``solve.args``)
+    are settled once per ``(lam, beta, h)`` and cached, so a call does only
+    the array arithmetic, in the order of the formula.  R is not converted:
+    a float64 array gives an array, a real a float64.
     """
     _require_positive_finite(lam=lam, beta=beta, h=h)
     bh = beta * h
@@ -400,9 +387,10 @@ def check_monotonicity(
     even though the formula itself would evaluate fine.
     """
     _require_positive_finite(L=L, eta=eta)
-    x1, x2 = _sample_states(box, state_dim, seed, n_pairs=n_pairs)
+    _require_count(0, n_pairs=n_pairs)  # a bad count is named first, eta before any draw
     if not (eta > 0.5):
         raise ValueError(f"monotonicity weight eta must exceed 1/2, got {eta}")
+    x1, x2 = _sample_states(box, state_dim, seed, n_pairs=n_pairs)
     df = f(x1) - f(x2)
     dx = x1 - x2
     dg = g(x1) - g(x2)

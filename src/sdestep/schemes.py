@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import BACKWARD_EULER, BDF2, GridFunction, SchemeCoefficients, SdeModel, TimeGrid
 from .core import EXPLICIT_EULER, _const, _require_count, _require_positive_finite
+from .core import _require_state
 from .brownian import IncrementTable
 
 __all__ = [
@@ -542,11 +543,7 @@ def integrate(
         raise ValueError(
             f"increment table has d={increments.noise_dim}, model expects {model.noise_dim}"
         )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,):
-        raise ValueError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0}")
+    x0 = np.array(_require_state(x0, model.state_dim))
     stepper = _Stepper(model, coeffs, solver_cfg, (grid.h,), x0, second_init)
     _stability_warnings(model, coeffs, grid.h)
     inc = increments.increments

@@ -198,7 +198,7 @@ def test_criterion_07_implicit_solver_contracts():
     R = rng.uniform(-20.0, 20.0, size=n)
     worst = 0.0
     for i in range(n):
-        x = closed_form_32vol(lam[i], 1.0, beta[i], h[i], R[i])
+        x = closed_form_32vol(lam[i], beta[i], h[i])(R[i])
         resid = abs(x - beta[i] * h[i] * (x - lam[i] * x * abs(x)) - R[i])
         worst = max(worst, resid / (1.0 + abs(R[i])))
     if worst > 1e-12:

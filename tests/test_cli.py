@@ -217,6 +217,25 @@ def test_a_count_too_large_to_allocate_exits_two(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--model", "vol32", "--x0", "1,2", "--steps", "4"],
+         "x0 has dimension 2, model expects 1"),
+        (["check-model", "--model", "vol32", "--condition", "coercivity", "--x0", "1,2",
+          "--pairs", "10"],
+         "x0 has dimension 2, model expects 1"),
+        # the weight is named before 10**18 pairs would be drawn
+        (["check-model", "--model", "vol32", "--condition", "monotonicity", "--eta", "0.4",
+          "--pairs", str(10**18)], "monotonicity weight eta must exceed 1/2, got 0.4"),
+    ],
+    ids=["simulate-x0", "check-model-x0", "check-model-eta"],
+)
+def test_a_bad_initial_state_or_weight_exits_two_by_name(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_model_show_prints_at_most_the_recorded_violations(capsys):
     argv = ["check-model", "--model", "vol32", "--lambda", "1", "--sigma", "1",
             "--condition", "coercivity", "--pairs", "20000"]

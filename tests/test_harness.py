@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import os
 import warnings
 
@@ -539,15 +540,17 @@ def test_a_cell_whose_squares_overflow_in_the_merge_reads_inf_silently():
     lam = (1.4563e6 + 1) * 25
     model = SdeModel(1, 1, drift=lambda x: -lam * x, diffusion=lambda x: np.zeros(x.shape + (1,)),
                      drift_jacobian=lambda x: np.full(x.shape + (1,), -lam))
-    base = dict(model=model, x0=(1.0,), schemes=("eulm",), levels=(25,), samples=2,
-                ref_steps=25, reference_scheme="bem")
+    base = dict(model=model, x0=(1.0,), schemes=("eulm",), levels=(25,), ref_steps=25,
+                reference_scheme="bem")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for batch_size in (1, 2):
-            table = run_convergence_study(ExperimentConfig(**base, batch_size=batch_size))
+        # with three or four samples an overflowed total is merged onto again
+        for samples, batch_size in itertools.product((2, 3, 4), (1, 2)):
+            table = run_convergence_study(ExperimentConfig(**base, samples=samples,
+                                                           batch_size=batch_size))
             assert table.cell(25, "eulm").error == np.inf
             assert table.render_csv().splitlines()[1].split(",")[2] == "-"
-        cfg = ExperimentConfig(**base)
+        cfg = ExperimentConfig(**base, samples=2)
         refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
         shifted = [GridFunction(grid=ref.grid, states=ref.states + 1e154) for ref in refs]
         assert strong_error(cfg, "bem", 25, shifted) == (np.inf, 0)
@@ -571,6 +574,8 @@ def test_reduction_masks_whole_samples_and_merges_in_order():
     parts = [{"k": ((np.array([1.0]),), 1)}] + [{"k": ((np.array([1e-16]),), 2)}] * 10
     (total,), count = _kahan_merge(parts)["k"]
     assert count == 21 and total[0] == 1.0 + 1e-15  # plain summation would stay at 1.0
+    (total,), count = _kahan_merge([{"k": ((np.array([1e308, 1.0]),), 1)}] * 3)["k"]
+    assert count == 3 and total.tolist() == [np.inf, 3.0]  # an overflowed total stays inf
     assert np.isnan(_rms_max(np.array([4.0]), 0)) and np.isnan(_rms_max(np.empty(0), 5))
     assert _rms_max(np.array([2.0, 8.0]), 2) == 2.0
 

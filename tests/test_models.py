@@ -1,6 +1,7 @@
 """Tests for the two benchmark models and the structural-condition checkers."""
 
 import ast
+import inspect
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from sdestep.models import (
     check_coercivity,
     check_local_lipschitz_f,
     check_monotonicity,
+    closed_form_32vol,
     eval_32vol,
     eval_toy2d,
 )
@@ -94,6 +96,10 @@ def test_vol32_model_contract():
     # as_sde_model agrees with the factory route
     again = params.as_sde_model()
     assert np.array_equal(again.drift(batch), fb)
+    # the model's settled solve is the one form of the root, keyed by (lam, beta, h)
+    assert ThreeHalvesVol(4.0, 1.0).closed_form_implicit(2 / 3, 0.01) is closed_form_32vol(
+        4.0, 2 / 3, 0.01)
+    assert list(inspect.signature(closed_form_32vol).parameters) == ["lam", "beta", "h"]
 
 
 # ------------------------------------------------------------------ toy2d
@@ -276,6 +282,9 @@ def test_monotonicity_rejects_weights_at_or_below_half():
     for eta in (0.5, 0.25, 0.0, -1.0):
         with pytest.raises(ValueError):
             check_monotonicity(model.drift, model.diffusion, eta=eta, L=1.0)
+    # 10**18 pairs once failed to allocate before eta was looked at
+    with pytest.raises(ValueError, match=r"^monotonicity weight eta must exceed 1/2, got 0.4$"):
+        check_monotonicity(model.drift, model.diffusion, eta=0.4, L=1.0, n_pairs=10**18)
 
 
 def test_monotonicity_holds_for_in_theory_parameter_sets():

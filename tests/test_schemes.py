@@ -32,7 +32,6 @@ from sdestep import (
 )
 from sdestep import schemes
 from sdestep.brownian import IncrementTable
-from sdestep.models import _closed_form_32vol_solver
 from sdestep.schemes import (
     _noise_product,
     _rhs_form,
@@ -153,17 +152,17 @@ def test_integration_warns_above_stricter_stability_candidates():
 
 
 def test_closed_form_32vol_zero_and_sign_symmetry():
-    assert closed_form_32vol(4.0, 1.0, 1.0, 0.01, 0.0) == 0.0
+    assert closed_form_32vol(4.0, 1.0, 0.01)(0.0) == 0.0
     rng = np.random.default_rng(12)
     R = rng.uniform(-50.0, 50.0, size=10_000)
-    plus = closed_form_32vol(4.0, 1.0, 1.0, 0.01, R)
-    minus = closed_form_32vol(4.0, 1.0, 1.0, 0.01, -R)
+    plus = closed_form_32vol(4.0, 1.0, 0.01)(R)
+    minus = closed_form_32vol(4.0, 1.0, 0.01)(-R)
     assert np.array_equal(minus, -plus)  # exact oddness by construction
 
 
 def test_closed_form_32vol_spot_value_against_bisection():
     lam, beta, h, R = 4.0, 1.0, 0.01, 1.0
-    x = closed_form_32vol(lam, 1.0, beta, h, R)
+    x = closed_form_32vol(lam, beta, h)(R)
 
     def phi(z):
         return z - beta * h * (z - lam * z * abs(z)) - R
@@ -188,19 +187,19 @@ def test_closed_form_32vol_residual_over_random_inputs():
     h = rng.uniform(1e-4, 0.9, size=n) / (beta * 1.0)  # keep h*beta*L < 1 with L=1
     R = rng.uniform(-20.0, 20.0, size=n)
     for i in range(n):
-        x = closed_form_32vol(lam[i], 0.0, beta[i], h[i], R[i])
+        x = closed_form_32vol(lam[i], beta[i], h[i])(R[i])
         f = x - lam[i] * x * abs(x)
         assert abs(x - beta[i] * h[i] * f - R[i]) <= 1e-12 * (1.0 + abs(R[i]))
 
 
 def test_closed_form_32vol_validation_and_array_shapes():
     with pytest.raises(ValueError):
-        closed_form_32vol(0.0, 1.0, 1.0, 0.01, 1.0)
+        closed_form_32vol(0.0, 1.0, 0.01)(1.0)
     with pytest.raises(ValueError):
-        closed_form_32vol(4.0, 1.0, 1.0, 0.0, 1.0)
-    out = closed_form_32vol(4.0, 1.0, 1.0, 0.01, np.array([[1.0], [-2.0]]))
+        closed_form_32vol(4.0, 1.0, 0.0)(1.0)
+    out = closed_form_32vol(4.0, 1.0, 0.01)(np.array([[1.0], [-2.0]]))
     assert out.shape == (2, 1)
-    assert isinstance(closed_form_32vol(4.0, 1.0, 1.0, 0.01, 1.0), float)
+    assert isinstance(closed_form_32vol(4.0, 1.0, 0.01)(1.0), float)
 
 
 @pytest.mark.parametrize("h", [1e-156, 1e-200])
@@ -208,17 +207,17 @@ def test_closed_form_32vol_where_c_squared_overflows_agrees_with_newton(h):
     # c = (1 - beta*h) / (2*beta*h*lam) is finite but c*c is not
     newton = ImplicitSolverConfig()
     for R in (1.0, -2.5, 1e-300, 0.3, 1e10):
-        x = closed_form_32vol(4.0, 1.0, 1.0, h, R)
+        x = closed_form_32vol(4.0, 1.0, h)(R)
         assert isinstance(x, float)
         assert x == pytest.approx(solve_implicit(VOL32_NEWTON, 1.0, h, np.array([R]), newton)[0],
                                   rel=1e-15)
     R = np.array([[1.0], [-2.5], [0.0]])
-    assert np.array_equal(closed_form_32vol(4.0, 1.0, 1.0, h, R), R)
+    assert np.array_equal(closed_form_32vol(4.0, 1.0, h)(R), R)
 
 
 def test_closed_form_32vol_names_a_step_too_small_for_its_formula():
     with pytest.raises(ValueError, match=r"h=1e-320\b"):
-        closed_form_32vol(4.0, 1.0, 1.0, 1e-320, 1.0)
+        closed_form_32vol(4.0, 1.0, 1e-320)(1.0)
 
 
 @pytest.mark.parametrize("name,args", [
@@ -239,7 +238,7 @@ def test_closed_form_32vol_names_a_non_finite_parameter(name, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{name} must be a positive finite real, got"):
-            closed_form_32vol(lam, 1.0, beta, h, 0.5)
+            closed_form_32vol(lam, beta, h)(0.5)
 
 
 @pytest.mark.parametrize("beta", [np.inf, np.nan, 0.0, -1.0])
@@ -279,20 +278,20 @@ def test_settled_closed_form_is_the_per_call_formula_bitwise(h):
             for params in models:  # alternating lambdas share no settled constants
                 R = _random_rhs(rng)
                 want = _closed_form_per_call(params.lam, beta, h, R)
-                hits = _closed_form_32vol_solver.cache_info().hits
+                hits = closed_form_32vol.cache_info().hits
                 got = params.closed_form_implicit(beta, h)(R)
-                assert _round == 0 or _closed_form_32vol_solver.cache_info().hits == hits + 1
+                assert _round == 0 or closed_form_32vol.cache_info().hits == hits + 1
                 assert got.tobytes() == want.tobytes()
-                assert closed_form_32vol(params.lam, 9.0, beta, h, R).tobytes() == want.tobytes()
-                x = closed_form_32vol(params.lam, 9.0, beta, h, float(R[7, 0]))
+                assert closed_form_32vol(params.lam, beta, h)(R).tobytes() == want.tobytes()
+                x = closed_form_32vol(params.lam, beta, h)(float(R[7, 0]))
                 assert isinstance(x, float) and x == want[7, 0]
 
 
 def test_settled_operands_are_read_only_float64_scalars():
     params = make_model("vol32", 4.0, 1.0)[0]
     toy = make_model("toy2d", 96.0, 0.47)[0]
-    settled = [*_closed_form_32vol_solver(4.0, 1.0, 0.01).args,
-               *_closed_form_32vol_solver(4.0, 1.0, 1e-156).args,
+    settled = [*closed_form_32vol(4.0, 1.0, 0.01).args,
+               *closed_form_32vol(4.0, 1.0, 1e-156).args,
                params._lam, params._sigma, toy._a_diag, toy._a_off, toy._minus_a_off, toy._sigma]
     settled += _rhs_form(BDF2).args  # -1/3 on U_0, -1/3 on its noise, 4/3 on U_1
     assert len(settled) == 14
@@ -873,6 +872,21 @@ def test_integrate_rejects_a_non_finite_initial_state():
     for x0 in ([np.nan], [np.inf]):
         with pytest.raises(ValueError, match="^x0 must be finite"):
             integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(grid), x0, second_init="bem")
+
+
+def test_integrate_names_an_initial_state_of_the_wrong_kind_and_takes_a_real():
+    # a complex, a string and a ragged list once raised float()'s or numpy's own messages
+    grid = TimeGrid(T=1.0, N=10)
+    for x0 in ([1j], np.array([1.0 + 2.0j]), ["a"], [[1.0], [2.0, 3.0]]):
+        with pytest.raises(ValueError, match="^x0 must be a real or a flat sequence of reals"):
+            integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(grid), x0)
+    with pytest.raises(ValueError, match=r"^x0 has dimension 2, model expects 1$"):
+        integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, zero_table(grid), [1.0, 2.0])
+    noise = IncrementTable(grid=grid, noise_dim=1,
+                           increments=np.random.default_rng(3).normal(0.0, grid.h**0.5, (10, 1)))
+    real, listed = (integrate(VOL32, BDF2, ImplicitSolverConfig(), grid, noise, x0).states
+                    for x0 in (1.0, [1.0]))
+    assert real.tobytes() == listed.tobytes()
 
 
 def test_integrate_guard_rejects_large_steps_unless_overridden():
