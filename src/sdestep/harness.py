@@ -30,7 +30,8 @@ Reproducibility rules baked in here:
   the largest root-mean-square over the grid points (NaN without a valid
   sample), and a cell is rendered "-" once at least 0.1% of samples
   exploded.  The study, the residual estimate and :func:`strong_error`
-  share this one reduction.
+  (the study's table against supplied references, one partial per
+  sample) share this one reduction.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .core import (
 from .schemes import (  # noqa: F401  (perfbench's trace patches step_* here by name)
     _SECOND_INITS,
     ImplicitSolverConfig,
-    _apply_noise,
+    _noise_product,
     _stability_warnings,
     _Stepper,
     integrate,
@@ -145,14 +146,12 @@ class ExperimentConfig:
             raise ValueError("need at least one level")
         _require_count(1, ref_steps=self.ref_steps, samples=self.samples, threads=self.threads,
                        batch_size=self.batch_size)
-        _require_count(0, base_seed=self.base_seed)
+        SeedSpec(self.base_seed)
         if list(self.levels) != sorted(set(self.levels)):
             raise ValueError("levels must be strictly ascending")
         for n in self.levels:
             if self.ref_steps % n != 0:
                 raise ValueError(f"ref_steps={self.ref_steps} not divisible by level N={n}")
-        if not self.base_seed < 2**64:
-            raise ValueError("base_seed must fit in 64 bits")
         if self.second_init not in _SECOND_INITS:
             choices = " or ".join(map(repr, _SECOND_INITS))
             raise ValueError(f"second_init must be {choices}, got {self.second_init!r}")
@@ -234,46 +233,6 @@ def _rms_max(total: np.ndarray, valid: int) -> float:
     if valid == 0 or total.size == 0:
         return float("nan")
     return float(np.sqrt(np.max(total / valid)))
-
-
-def strong_error(
-    config: ExperimentConfig,
-    scheme: str,
-    n_steps: int,
-    references: Sequence[GridFunction],
-) -> tuple[float, int]:
-    """Strong error of one scheme at one level against supplied references.
-
-    ``references[i]`` must be the fine-grid reference of sample index i
-    (same base seed); the sample's noise is regenerated here and coarsened
-    onto the level grid by the study's own chunked draw
-    (:func:`brownian._coarse_chunks`), so scheme and reference see the same
-    Brownian path.  All samples are stepped together as one batch, so a sample
-    whose Newton linearization turns singular counts as exploded, as in
-    the study.  Each sample is one partial of the shared reduction, merged
-    in sample order.  Returns ``(error, exploded_count)``; the error is NaN
-    when every sample exploded or ``references`` is empty.
-    """
-    if scheme not in SCHEME_COEFFS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _require_count(1, n_steps=n_steps)
-    if config.ref_steps % n_steps != 0:
-        raise ValueError(f"level N={n_steps} does not divide ref_steps={config.ref_steps}")
-    for idx, ref in enumerate(references):
-        if ref.grid != config.fine_grid:
-            raise ValueError(f"reference {idx} lives on {ref.grid}, expected {config.fine_grid}")
-    if not references:
-        return float("nan"), 0
-    factor = config.ref_steps // n_steps
-    gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(len(references))]
-    increments = np.concatenate([sums[factor] for _start, _fine, sums in _coarse_chunks(
-        gens, config.fine_grid.h, config.ref_steps, config.model.noise_dim, (factor,))])
-    ref_states = np.stack([ref.states[::factor] for ref in references], axis=1)
-    _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n_steps).h)
-    devsq = _level_deviations(config, scheme, {n_steps: increments}, {n_steps: ref_states})[n_steps]
-    partials = [{n_steps: _masked_sums(devsq[i:i + 1])} for i in range(len(references))]
-    (total,), valid = _kahan_merge(partials)[n_steps]
-    return _rms_max(total, valid), len(references) - valid
 
 
 @dataclass(frozen=True)
@@ -492,6 +451,28 @@ def _study_squares(config: ExperimentConfig, snapshots: dict, coarse_incs: dict)
             yield (n, scheme), (devsq,)
 
 
+def _error_table(config: ExperimentConfig, merged: dict, samples: int) -> ErrorTable:
+    """The table of merged ``{(n, scheme): ((total,), valid)}`` sums over ``samples``
+    samples; a cell missing from ``merged`` had no sample (NaN, 0 exploded)."""
+    rows = []
+    prev: dict[str, tuple[float, float] | None] = {s: None for s in config.schemes}
+    for n in config.levels:
+        h = config.level_grid(n).h
+        cells = {}
+        for s in config.schemes:
+            (total,), valid = merged.get((n, s), ((np.empty(0),), 0))
+            error = _rms_max(total, valid)
+            exploded = samples - valid
+            cell_exploded = _renders_exploded(error, exploded, samples)
+            order = None
+            if not cell_exploded and prev[s] is not None:
+                order = eoc(prev[s][0], error, prev[s][1], h)
+            cells[s] = SchemeCell(error=error, eoc=order, exploded=exploded, samples=samples)
+            prev[s] = None if cell_exploded else (error, h)
+        rows.append(LevelRow(n_steps=n, h=h, cells=cells))
+    return ErrorTable(schemes=config.schemes, rows=tuple(rows), samples=samples)
+
+
 def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     """Run the full coupled-reference study and return the error table.
 
@@ -508,25 +489,45 @@ def run_convergence_study(config: ExperimentConfig) -> ErrorTable:
     for scheme, n in dict.fromkeys([(config.reference_scheme, config.ref_steps),
                                     *((s, n) for n in config.levels for s in config.schemes)]):
         _stability_warnings(config.model, SCHEME_COEFFS[scheme], config.level_grid(n).h)
-    merged = _map_batches(config, _study_squares)
+    return _error_table(config, _map_batches(config, _study_squares), config.samples)
 
-    rows = []
-    prev: dict[str, tuple[float, float] | None] = {s: None for s in config.schemes}
-    for n in config.levels:
-        h = config.level_grid(n).h
-        cells = {}
-        for s in config.schemes:
-            (total,), valid = merged[(n, s)]
-            error = _rms_max(total, valid)
-            exploded = config.samples - valid
-            cell_exploded = _renders_exploded(error, exploded, config.samples)
-            order = None
-            if not cell_exploded and prev[s] is not None:
-                order = eoc(prev[s][0], error, prev[s][1], h)
-            cells[s] = SchemeCell(error=error, eoc=order, exploded=exploded, samples=config.samples)
-            prev[s] = None if cell_exploded else (error, h)
-        rows.append(LevelRow(n_steps=n, h=h, cells=cells))
-    return ErrorTable(schemes=config.schemes, rows=tuple(rows), samples=config.samples)
+
+def strong_error(config: ExperimentConfig, references: Sequence[GridFunction]) -> ErrorTable:
+    """The study's error table against supplied references, such as exact paths.
+
+    ``references[i]`` is the fine-grid path of sample index i (same base seed).
+    Each sample's noise is drawn once for the whole table, and all samples step
+    as one batch through the study's lockstep deviations, so a singular Newton
+    row counts as exploded.  Each sample is one partial, merged in sample order:
+    at ``batch_size=1`` with the study's references this is the study's table.
+    Without references every cell is NaN with 0 exploded.
+    """
+    model = config.model
+    for idx, ref in enumerate(references):
+        if ref.grid != config.fine_grid:
+            raise ValueError(f"reference {idx} lives on {ref.grid}, expected {config.fine_grid}")
+        if ref.state_dim != model.state_dim:
+            raise ValueError(f"reference {idx} has state dimension {ref.state_dim}, "
+                             f"model expects {model.state_dim}")
+    if not references:
+        return _error_table(config, {}, 0)
+    for scheme, n in ((s, n) for s in config.schemes for n in config.levels):
+        _stability_warnings(model, SCHEME_COEFFS[scheme], config.level_grid(n).h)
+    factors = {n: config.ref_steps // n for n in config.levels}
+    gens = [SeedSpec(config.base_seed, idx).generator() for idx in range(len(references))]
+    coarse_incs = {n: np.empty((n, len(gens), model.noise_dim)) for n in config.levels}
+    for start, fine, sums in _coarse_chunks(gens, config.fine_grid.h, config.ref_steps,
+                                            model.noise_dim, factors.values()):
+        for n, f in factors.items():
+            coarse_incs[n][start // f:(start + len(fine)) // f] = sums[f]
+    snapshots = {n: np.stack([ref.states[::f] for ref in references], axis=1)
+                 for n, f in factors.items()}
+    partials = [{} for _ in references]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for key, (devsq,) in _study_squares(config, snapshots, coarse_incs):
+            for i, part in enumerate(partials):
+                part[key] = _masked_sums(devsq[i:i + 1])
+    return _error_table(config, _kahan_merge(partials), len(references))
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +583,19 @@ def residual_defects(model: SdeModel, states: np.ndarray, increments: np.ndarray
 
     with shape (..., N, m), and the sum of the two extra defect terms of
     the two-step scheme (trapezoidal drift correction plus shifted-noise
-    correction), shape (..., N-1, m), defined for j = 2..N.
+    correction), shape (..., N-1, m), defined for j = 2..N.  Bad shapes or h raise.
     """
     V = np.asarray(states, dtype=float)
     dW = np.asarray(increments, dtype=float)
+    _require_positive_finite(h=h)
+    m, d = model.state_dim, model.noise_dim
+    if V.ndim < 2 or V.shape[-2] < 2 or V.shape[-1] != m:
+        raise ValueError(f"states must have shape (..., N+1, {m}), N >= 1, got {V.shape}")
+    if dW.shape != (want := V.shape[:-2] + (V.shape[-2] - 1, d)):
+        raise ValueError(f"increments must have shape (..., N, {d}) = {want}, got {dW.shape}")
     fV = model.drift(V)
     gV = model.diffusion(V)
-    noise = _apply_noise(gV[..., :-1, :, :], dW)  # g(V^{j-1}) dW^j, j = 1..N
+    noise = _noise_product(d)(gV[..., :-1, :, :], dW)  # g(V^{j-1}) dW^j, j = 1..N
     one = h * fV[..., 1:, :] + noise - V[..., 1:, :] + V[..., :-1, :]
     # trapezoidal drift correction (j = 2..N) ...
     half = 0.5 * (h * fV[..., :-1, :] + noise - V[..., 1:, :] + V[..., :-1, :])

@@ -150,14 +150,6 @@ def _noise_product_2(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_noise(g: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """:func:`_noise_product` for the ``d`` of ``g``, after checking that ``dW`` has it."""
-    d = g.shape[-1]
-    if dW.shape[-1] != d:
-        raise ValueError(f"noise dimension mismatch: matrix has d={d}, increment {dW.shape[-1]}")
-    return _noise_product(d)(g, dW)
-
-
 def _solve_linear(A: np.ndarray, b: np.ndarray):
     """Solve A x = b for one (m, m) system or a (..., m, m) batch.
 

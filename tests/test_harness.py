@@ -26,7 +26,7 @@ from sdestep import (
     strong_error,
     write_csv,
 )
-from sdestep import harness, schemes
+from sdestep import brownian, harness, schemes
 from sdestep.harness import (
     LevelRow,
     SchemeCell,
@@ -167,6 +167,15 @@ def test_experiment_config_names_a_sequence_field_of_the_wrong_kind(field, value
     for x0 in ((1.0,), 1.0, np.array([1.0])):
         assert ExperimentConfig(**dict(base, x0=x0)).x0 == (1.0,)
     assert ExperimentConfig(**dict(base, levels=[25, 50], schemes=["bem", "bdf2"])).levels == (25, 50)
+
+
+def test_experiment_config_checks_its_seed_as_the_noise_streams_do():
+    base = dict(model=VOL32, x0=(1.0,), schemes=("bem",), levels=(25,), samples=8, ref_steps=400)
+    assert ExperimentConfig(**base, base_seed=2**64 - 1).base_seed == 2**64 - 1
+    with pytest.raises(ValueError, match="^base_seed must be >= 0, got -1$"):
+        ExperimentConfig(**base, base_seed=-1)
+    with pytest.raises(ValueError, match="^base_seed and sample_index must fit in 64 bits"):
+        ExperimentConfig(**base, base_seed=2**64)
 
 
 def test_experiment_config_takes_numpy_integers():
@@ -470,9 +479,9 @@ def test_strong_error_of_the_reference_against_itself_is_zero():
         samples=6, ref_steps=400, base_seed=3,
     )
     refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
-    err, exploded = strong_error(cfg, "bdf2", 400, refs)
-    assert err == 0.0
-    assert exploded == 0
+    cell = strong_error(cfg, refs).cell(400, "bdf2")
+    assert cell.error == 0.0
+    assert cell.exploded == 0
 
 
 _, TOY_SIGMA1 = make_model("toy2d", 96.0, 1.0)
@@ -496,9 +505,11 @@ def test_per_sample_and_batched_routes_agree():
         refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
         table = run_convergence_study(cfg)
         assert tuple(table.cell(n, cfg.schemes[0]).exploded for n in cfg.levels) == exploded
+        per_sample = strong_error(cfg, refs)
         for scheme in cfg.schemes:
             for n in cfg.levels:
-                err, exploded_count = strong_error(cfg, scheme, n, refs)
+                got = per_sample.cell(n, scheme)
+                err, exploded_count = got.error, got.exploded
                 cell = table.cell(n, scheme)
                 assert _same_float(err, cell.error) or abs(err - cell.error) <= 1e-12 * (1.0 + err)
                 assert exploded_count == cell.exploded
@@ -513,11 +524,13 @@ def test_one_sample_batches_reduce_exactly_like_the_per_sample_route():
     )
     refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
     table = run_convergence_study(cfg)
+    per_sample = strong_error(cfg, refs)
     for scheme in cfg.schemes:
         for n in cfg.levels:
-            err, exploded = strong_error(cfg, scheme, n, refs)
-            assert _same_float(err, table.cell(n, scheme).error)
-            assert exploded == table.cell(n, scheme).exploded
+            got = per_sample.cell(n, scheme)
+            assert _same_float(got.error, table.cell(n, scheme).error)
+            assert got.exploded == table.cell(n, scheme).exploded
+    assert per_sample.render_csv() == table.render_csv()  # EOCs and "-" cells too
 
 
 def test_strong_error_counts_a_singular_newton_row_as_exploded_like_the_study():
@@ -530,9 +543,9 @@ def test_strong_error_counts_a_singular_newton_row_as_exploded_like_the_study():
     cfg = ExperimentConfig(model=model, x0=(1.0,), schemes=("bem",), levels=(25,), samples=4,
                            ref_steps=100)
     refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
-    err, exploded = strong_error(cfg, "bem", 25, refs)
-    assert np.isnan(err)
-    assert exploded == cfg.samples == run_convergence_study(cfg).cell(25, "bem").exploded
+    cell = strong_error(cfg, refs).cell(25, "bem")
+    assert np.isnan(cell.error)
+    assert cell.exploded == cfg.samples == run_convergence_study(cfg).cell(25, "bem").exploded
 
 
 def test_a_cell_whose_squares_overflow_in_the_merge_reads_inf_silently():
@@ -553,16 +566,37 @@ def test_a_cell_whose_squares_overflow_in_the_merge_reads_inf_silently():
         cfg = ExperimentConfig(**base, samples=2)
         refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
         shifted = [GridFunction(grid=ref.grid, states=ref.states + 1e154) for ref in refs]
-        assert strong_error(cfg, "bem", 25, shifted) == (np.inf, 0)
+        cell = strong_error(dataclasses.replace(cfg, schemes=("bem",)), shifted).cell(25, "bem")
+        assert (cell.error, cell.exploded) == (np.inf, 0)
 
 
-def test_strong_error_rejects_empty_levels_and_keeps_empty_references():
+def test_strong_error_of_no_references_is_nan_with_none_exploded():
     cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(25,), samples=2, ref_steps=100)
-    for n_steps in (0, -4, 2.5, float("nan")):
-        with pytest.raises(ValueError, match="^n_steps must be"):
-            strong_error(cfg, "bdf2", n_steps, [])
-    err, exploded = strong_error(cfg, "bdf2", 25, [])
-    assert np.isnan(err) and exploded == 0
+    cell = strong_error(cfg, []).cell(25, "bdf2")
+    assert np.isnan(cell.error) and cell.exploded == 0
+
+
+def test_strong_error_names_a_reference_of_the_wrong_state_dimension():
+    # such a reference once died in numpy's broadcasting, naming no reference
+    cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(25,), samples=2, ref_steps=100)
+    refs = [reference_trajectory(cfg, 0), GridFunction(cfg.fine_grid, np.ones((101, 2)))]
+    with pytest.raises(ValueError, match="^reference 1 has state dimension 2, model expects 1$"):
+        strong_error(cfg, refs)
+
+
+def test_strong_error_draws_each_sample_once_for_the_whole_table(monkeypatch):
+    cfg = ExperimentConfig(model=VOL32, x0=(1.0,), levels=(25, 50, 100), samples=3,
+                           ref_steps=400, base_seed=8)
+    refs = [reference_trajectory(cfg, i) for i in range(cfg.samples)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return brownian._coarse_chunks(*args)
+
+    monkeypatch.setattr(harness, "_coarse_chunks", counted)
+    strong_error(cfg, refs)
+    assert [sorted(factors) for factors in calls] == [[4, 8, 16]]  # one pass for 9 cells
 
 
 def test_reduction_masks_whole_samples_and_merges_in_order():
@@ -609,10 +643,11 @@ def test_noise_free_study_errors_match_errors_against_the_exact_solution(lam):
                            levels=tuple(25 * 2**k for k in range(6)), samples=1,
                            ref_steps=25_600, base_seed=9)
     table = run_convergence_study(cfg)
-    exact = [_logistic_path(lam, 1.0, cfg.fine_grid)]
+    against_exact = strong_error(cfg, [_logistic_path(lam, 1.0, cfg.fine_grid)])
     for scheme in cfg.schemes:
         for n in cfg.levels:
-            want, exploded = strong_error(cfg, scheme, n, exact)
+            got = against_exact.cell(n, scheme)
+            want, exploded = got.error, got.exploded
             assert exploded == 0 and table.cell(n, scheme).exploded == 0
             assert abs(table.cell(n, scheme).error - want) <= 2e-3 * want
 
@@ -900,6 +935,20 @@ def test_defects_accept_batched_paths():
     single_one, single_pair = residual_defects(VOL32, V[3], dW[3], h=0.125)
     assert np.array_equal(one[3], single_one)
     assert np.array_equal(pair[3], single_pair)
+
+
+def test_defects_reject_a_path_or_step_size_of_the_wrong_kind_by_name():
+    # a state of dimension 2 on the scalar model once gave (10, 2) defects, h <= 0 or NaN passed
+    states, increments = np.ones((11, 1)), np.zeros((10, 1))
+    for bad, message in (
+        (dict(states=np.ones((11, 2))), r"^states must have shape \(\.\.\., N\+1, 1\)"),
+        (dict(increments=np.zeros((9, 1))), r"^increments must have shape \(\.\.\., N, 1\)"),
+        (dict(h=-0.1), "^h must be a positive finite real, got -0.1$"),
+        (dict(h=float("nan")), "^h must be a positive finite real, got nan$"),
+    ):
+        args = dict(dict(states=states, increments=increments, h=0.1), **bad)
+        with pytest.raises(ValueError, match=message):
+            residual_defects(VOL32, **args)
 
 
 def test_noise_free_linear_defects_shrink_quadratically():
